@@ -268,10 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gini.add_argument("--pairs", type=int, default=1_000_000, help="pair count for --estimator pairs")
     p_gini.add_argument("--seed", type=int, default=0, help="seed for --estimator pairs")
     p_gini.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
-                        help="largest n the exact estimator accepts")
+                        help="largest n the exact double sum (p != 1) accepts; exact p=1 is "
+                             "O(n log n) and uncapped")
     p_gini.add_argument("--threads", type=int, default=None,
-                        help="worker threads for the exact double sum (default: all cores; "
-                             "never changes printed values)")
+                        help="worker threads for the exact double sum, used only for p != 1 "
+                             "(default: all cores; never changes printed values)")
     p_gini.add_argument("--format", choices=("table", "json"), default="table")
     p_gini.set_defaults(func=cmd_gini)
 

@@ -28,13 +28,15 @@ from .errors import DataError, NumericalError
 from .sample import WeightedSample, MomentSummary, moments
 from .whitening import NEGATIVITY_RTOL, WhiteningTransform, fit_whitening, fit_zca_cor
 
-# Exact estimator size cap (n support points); above this, pair sampling is
-# the intended route.  ~4e8 pair evaluations per component at the cap.
+# Size cap (n support points) of the exact double sum used for p != 1; above
+# this, pair sampling is the intended route.  ~2e8 pair evaluations per
+# component at the cap.  Exact p = 1 sorts instead and is not capped.
 DEFAULT_EXACT_CAP = 20_000
 
 # Fixed evaluation chunk sizes.  These are constants (never derived from the
 # thread count), so results are bit-identical however the work is scheduled.
-_EXACT_CHUNK_ELEMENTS = 1 << 22
+# A double-sum chunk of ~2^18 doubles (2 MiB) stays cache resident.
+_EXACT_CHUNK_ELEMENTS = 1 << 18
 _PAIR_CHUNK = 1 << 18
 
 
@@ -135,7 +137,15 @@ def gini_1d(values, weights=None) -> float:
     mean = float(w @ v)
     if mean == 0.0:
         raise NumericalError("undefined inequality for zero-mean component")
+    return _mean_abs_difference(v, w) / (2.0 * abs(mean))
 
+
+def _mean_abs_difference(v: np.ndarray, w: np.ndarray) -> float:
+    """sum_{a,b} w_a w_b |v_a - v_b| for weights summing to one.
+
+    One stable sort and prefix sums, O(n log n); ties contribute zero in any
+    order.
+    """
     order = np.argsort(v, kind="stable")
     # shifting to start at zero costs nothing (pairwise differences are
     # shift invariant) and avoids cancellation for near-constant values
@@ -145,7 +155,7 @@ def gini_1d(values, weights=None) -> float:
     cum_wv = np.cumsum(ws * vs)
     # sum_{a<b} w_a w_b (v_b - v_a), doubled for the symmetric sum
     mad = 2.0 * float(np.sum(ws * (vs * (cum_w - ws) - (cum_wv - ws * vs))))
-    return max(mad, 0.0) / (2.0 * abs(mean))
+    return max(mad, 0.0)
 
 
 def mahalanobis_norm_p(transform: WhiteningTransform, mean, p=2.0) -> float:
@@ -170,22 +180,50 @@ def _negativity(whitened: np.ndarray) -> tuple[bool, float | None]:
     return False, None
 
 
-def _exact_chunks(n: int, dim: int) -> list[slice]:
-    rows = max(1, _EXACT_CHUNK_ELEMENTS // max(n * dim, 1))
+def _exact_chunks(n: int) -> list[slice]:
+    rows = max(1, _EXACT_CHUNK_ELEMENTS // n)
     return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
 def _exact_mean_distance(y: np.ndarray, w: np.ndarray, p: float, threads: int) -> float:
     """sum_{a,b} w_a w_b ||y_a - y_b||_p, chunked with a fixed reduction order.
 
-    Chunk boundaries depend only on the problem size, and partial sums are
-    reduced in chunk order, so the result is identical for any thread count.
+    Each row chunk a in [i0, i1) is paired only with columns b >= i0: the
+    diagonal block in full, and the block to its right twice (the sum is
+    symmetric).  Distances are accumulated one component at a time on 2-D
+    arrays.  Chunk boundaries depend only on n, and partial sums are reduced
+    in chunk order, so the result is identical for any thread count.
     """
-    chunks = _exact_chunks(y.shape[0], y.shape[1])
+    n = y.shape[0]
+    columns = np.ascontiguousarray(y.T)
+    chunks = _exact_chunks(n)
+    max_norm = math.isinf(p)
+    power = p not in (1.0, 2.0) and not max_norm
 
     def part(sl: slice) -> float:
-        dist = _pnorm_rows(y[sl, None, :] - y[None, :, :], p)
-        return float(w[sl] @ (dist @ w))
+        # acc holds sum_k |y_ak - y_bk|^p (max_k for p = inf) for a in sl, b >= sl.start
+        acc = np.empty((sl.stop - sl.start, n - sl.start))
+        term = np.empty_like(acc)
+        for k, col in enumerate(columns):
+            out = term if k else acc
+            np.subtract(col[sl, None], col[None, sl.start:], out=out)
+            if p == 2.0:
+                np.multiply(out, out, out=out)
+            else:
+                np.abs(out, out=out)
+                if power:
+                    np.power(out, p, out=out)
+            if k and max_norm:
+                np.maximum(acc, term, out=acc)
+            elif k:
+                acc += term
+        if p == 2.0:
+            np.sqrt(acc, out=acc)
+        elif power:
+            np.power(acc, 1.0 / p, out=acc)
+        coef = w[sl.start:].copy()
+        coef[sl.stop - sl.start:] *= 2.0
+        return float(w[sl] @ (acc @ coef))
 
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -244,10 +282,14 @@ def gini_p(
     the sample's own moments), then evaluates the expected whitened pair
     distance over twice the whitened-mean p-norm.
 
-    estimator="exact" computes the full double sum over support pairs
-    (requires n <= exact_cap); estimator="pairs" draws ``pairs`` independent
-    index pairs from the weight distribution with a fixed seed and reports a
-    standard error alongside the estimate.
+    estimator="exact" is exact up to roundoff.  For p = 1 it sums the
+    per-component mean absolute differences, each by one sort and prefix
+    sums: O(n log n), uncapped, single threaded.  For p != 1 it evaluates
+    the double sum over support pairs, O(n^2 d), which requires
+    n <= exact_cap and is the only step ``threads`` parallelizes (the value
+    does not depend on ``threads``).  estimator="pairs" draws ``pairs``
+    independent index pairs from the weight distribution with a fixed seed
+    and reports a standard error alongside the estimate.
     """
     p = _validate_p(p)
     m = moments(sample)
@@ -260,12 +302,19 @@ def gini_p(
         raise NumericalError("whitened mean has zero p-norm")
 
     if estimator == "exact":
-        if sample.n > exact_cap:
+        if p == 1.0:
+            # the p = 1 distance splits into per-component mean absolute
+            # differences, each O(n log n); no division by a component mean
+            mean_dist = 0.0
+            for column in y.T:
+                mean_dist += _mean_abs_difference(column, w)
+        elif sample.n > exact_cap:
             raise DataError(
                 f"exact estimator capped at n={exact_cap} (sample has {sample.n}); "
                 "use the pair-sampling estimator"
             )
-        mean_dist = _exact_mean_distance(y, w, p, threads)
+        else:
+            mean_dist = _exact_mean_distance(y, w, p, threads)
         pair_count = seed_used = std_error = None
     elif estimator == "pairs":
         if pairs < 1:
@@ -297,9 +346,9 @@ def gini_1_decomposed(sample: WeightedSample, *, method: str = "zca_cor") -> Gin
 
     Whitens the sample, computes the one-dimensional Gini of every whitened
     component, and combines them with weights |m*_i| / sum_j |m*_j|.  Agrees
-    with ``gini_p(sample, 1, estimator="exact")`` up to roundoff, but is
-    computed by a different route (per-component sorting instead of the
-    pairwise double sum).
+    with ``gini_p(sample, 1, estimator="exact")`` up to roundoff (both use
+    the same per-component sort); unlike it, rejects a zero whitened
+    component mean, whose one-dimensional index is undefined.
     """
     m = moments(sample)
     transform = fit_whitening(method, m)

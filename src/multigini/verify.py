@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gini import gaussian_g1_closed_form, gini_1d, gini_1_decomposed, gini_p, mahalanobis_norm_p
+from .gini import (
+    _exact_mean_distance,
+    gaussian_g1_closed_form,
+    gini_1d,
+    gini_1_decomposed,
+    gini_p,
+    mahalanobis_norm_p,
+)
 from .sample import MomentSummary, WeightedSample, cholesky_lower, moments, sym_eigen
 from .synth import (
     brute_force_gini_1d,
@@ -113,6 +120,14 @@ def check_scale_stability_suite(seed: int, tamper: bool) -> tuple[bool, str]:
     return worst <= 1e-9, f"worst relative deviation {worst:.3e} over 100 trials (tolerance 1e-9)"
 
 
+def _double_sum_g1(sample: WeightedSample) -> float:
+    """G_1 by the pairwise double sum, independent of the per-component sort."""
+    transform = fit_whitening("zca_cor", moments(sample))
+    y = sample.points @ transform.matrix.T
+    m_star = transform.matrix @ transform.fitted_moments.mean
+    return _exact_mean_distance(y, sample.weights, 1.0, 1) / (2.0 * float(np.abs(m_star).sum()))
+
+
 def check_decomposition_identity(seed: int, tamper: bool) -> tuple[bool, str]:
     """Weighted component combination equals the direct pairwise index, 100 samples."""
     rng = np.random.default_rng(seed + 4)
@@ -121,7 +136,7 @@ def check_decomposition_identity(seed: int, tamper: bool) -> tuple[bool, str]:
         dim = int(rng.integers(1, 6))
         n = int(rng.integers(dim + 2, 201))
         sample = _random_nonneg_sample(rng, dim, n, weighted=trial % 2 == 0)
-        direct = gini_p(sample, 1.0).value
+        direct = _double_sum_g1(sample)
         decomposed = gini_1_decomposed(sample).value
         worst = max(worst, abs(direct - decomposed))
     return worst <= 1e-10, f"worst |decomposed - direct| {worst:.3e} over 100 samples (tolerance 1e-10)"
@@ -236,22 +251,26 @@ def _run_cli(args: list[str]) -> subprocess.CompletedProcess:
 def check_cli_end_to_end(seed: int, tamper: bool) -> tuple[bool, str]:
     """Exported spike fixture through the CLI gives 0.8; thread count changes nothing."""
     sample = gen_spike_cube(0.2, 3)
+    threads = str(max(os.cpu_count() or 1, 2))
+    runs = {}
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "spike.csv")
-        write_sample_csv(sample, path, ["m1", "m2", "m3"], rows=125)
-        args = ["gini", "--input", path, "--columns", "m1,m2,m3", "--p", "1", "--format", "json"]
-        one = _run_cli([*args, "--threads", "1"])
-        many = _run_cli([*args, "--threads", str(max(os.cpu_count() or 1, 2))])
-    if one.returncode != 0 or many.returncode != 0:
-        tail = (one.stderr or many.stderr).strip().splitlines()
-        return False, f"cli failed (exit {one.returncode}/{many.returncode}): {tail[-1] if tail else ''}"
-    value = json.loads(one.stdout)["value"]
+        # 1000 rows span several chunks of the p=2 double sum, so threads share it
+        for p, rows in (("1", 125), ("2", 1000)):
+            path = os.path.join(tmp, f"spike{rows}.csv")
+            write_sample_csv(sample, path, ["m1", "m2", "m3"], rows=rows)
+            args = ["gini", "--input", path, "--columns", "m1,m2,m3", "--p", p, "--format", "json"]
+            runs[p] = (_run_cli([*args, "--threads", "1"]), _run_cli([*args, "--threads", threads]))
+    for one, many in runs.values():
+        if one.returncode != 0 or many.returncode != 0:
+            tail = (one.stderr or many.stderr).strip().splitlines()
+            return False, f"cli failed (exit {one.returncode}/{many.returncode}): {tail[-1] if tail else ''}"
+    value = json.loads(runs["1"][0].stdout)["value"]
     gap = abs(value - 0.8)
-    identical = one.stdout == many.stdout
-    ok = gap <= 1e-10 and identical
+    identical = {p: one.stdout == many.stdout for p, (one, many) in runs.items()}
+    ok = gap <= 1e-10 and all(identical.values())
     return ok, (
         f"pipeline value {value!r}, |value - 0.8| {gap:.3e} (tolerance 1e-10); "
-        f"thread-count output identical: {identical}"
+        f"thread-count output identical: p=1 {identical['1']}, p=2 {identical['2']}"
     )
 
 

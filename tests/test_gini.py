@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import multigini.gini as gini_module
 from multigini import (
     DataError,
     MomentSummary,
@@ -22,6 +23,7 @@ from multigini import (
     mahalanobis_norm_p,
     moments,
 )
+from multigini.gini import _exact_chunks, _exact_mean_distance
 
 
 def random_nonneg_sample(rng, d, n, weighted=False):
@@ -154,7 +156,8 @@ class TestGiniP:
         for trial in range(10):
             d = int(rng.integers(1, 6))
             sample = random_nonneg_sample(rng, d, int(rng.integers(d + 2, 150)), trial % 2 == 0)
-            direct = gini_p(sample, 1.0).value
+            transform = fit_whitening("zca_cor", moments(sample))
+            direct = brute_force_gini_p(sample, 1.0, transform)
             decomposed = gini_1_decomposed(sample).value
             assert abs(direct - decomposed) <= 1e-10
 
@@ -244,19 +247,50 @@ class TestGiniP:
         rng = np.random.default_rng(41)
         sample = WeightedSample(rng.lognormal(0, 0.5, (30, 2)))
         with pytest.raises(DataError, match="capped"):
-            gini_p(sample, 1.0, exact_cap=10)
+            gini_p(sample, 2.0, exact_cap=10)
+
+    def test_exact_cap_does_not_apply_to_p1(self):
+        rng = np.random.default_rng(41)
+        sample = WeightedSample(rng.lognormal(0, 0.5, (30, 2)))
+        value = gini_p(sample, 1.0, exact_cap=10).value
+        assert abs(value - gini_1_decomposed(sample).value) <= 1e-12
 
     def test_unknown_estimator(self):
         sample = gen_spike_cube(0.3, 1)
         with pytest.raises(DataError, match="estimator"):
             gini_p(sample, 1.0, estimator="bootstrap")
 
-    def test_threads_do_not_change_value(self):
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+    def test_threads_do_not_change_value(self, p):
         rng = np.random.default_rng(42)
         sample = WeightedSample(rng.lognormal(0, 0.5, (3000, 2)))
-        single = gini_p(sample, 1.0, threads=1).value
-        multi = gini_p(sample, 1.0, threads=4).value
-        assert single == multi
+        assert len(_exact_chunks(sample.n)) > 4
+        assert gini_p(sample, p, threads=1).value == gini_p(sample, p, threads=4).value
+        y, w = sample.points, sample.weights
+        assert _exact_mean_distance(y, w, p, 1) == _exact_mean_distance(y, w, p, 4)
+
+
+class TestExactDoubleSum:
+    """The chunked upper-triangle double sum against a full-matrix sum."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+    @pytest.mark.parametrize("chunks", ["below-one-chunk", "exact-multiple", "ragged"])
+    def test_matches_full_matrix(self, p, chunks, monkeypatch):
+        rows = 64
+        n = {"below-one-chunk": 40, "exact-multiple": 3 * rows, "ragged": 3 * rows + 5}[chunks]
+        rng = np.random.default_rng(47)
+        y = rng.standard_normal((n, 3))
+        w = rng.random(n) + 0.05
+        w /= w.sum()
+        diff = np.abs(y[:, None, :] - y[None, :, :])
+        if math.isinf(p):
+            dist = diff.max(axis=-1)
+        else:
+            dist = (diff**p).sum(axis=-1) ** (1.0 / p)
+        reference = float(w @ dist @ w)
+        monkeypatch.setattr(gini_module, "_EXACT_CHUNK_ELEMENTS", rows * n)
+        assert len(_exact_chunks(n)) == -(-n // rows)
+        assert abs(_exact_mean_distance(y, w, p, 2) - reference) <= 1e-12
 
 
 class TestPairEstimator:
