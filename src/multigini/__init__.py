@@ -29,9 +29,9 @@ from .gini import (
     mahalanobis_norm_p,
 )
 from .report import (
-    CompanyRecord,
     InequalityReport,
     PanelSet,
+    PanelTable,
     build_report,
     load_csv,
     panelize,
@@ -68,7 +68,6 @@ from .whitening import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompanyRecord",
     "DataError",
     "EigenDecomposition",
     "Fixture",
@@ -78,6 +77,7 @@ __all__ = [
     "NegativityWarning",
     "NumericalError",
     "PanelSet",
+    "PanelTable",
     "WeightedSample",
     "WhiteningTransform",
     "brute_force_gini_1d",

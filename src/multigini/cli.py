@@ -196,7 +196,7 @@ def cmd_whiten(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records, dropped = load_csv(
+    table, dropped = load_csv(
         args.input,
         _parse_columns(args.columns),
         group_column=args.group_column,
@@ -204,7 +204,7 @@ def cmd_report(args) -> int:
     )
     if dropped:
         print(f"dropped rows: {dropped}", file=sys.stderr)
-    panels = panelize(records, min_group_size=args.min_group_size)
+    panels = panelize(table, min_group_size=args.min_group_size)
     report = build_report(panels, p=_parse_p(args.p), metric_names=_parse_columns(args.columns))
     text = serialize_report(report, args.format)
     if args.out:

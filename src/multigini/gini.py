@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .sample import WeightedSample, MomentSummary, moments
-from .whitening import NEGATIVITY_RTOL, WhiteningTransform, fit_whitening, fit_zca_cor
+from .whitening import WhiteningTransform, fit_whitening, fit_zca_cor, worst_negative
 
 # Size cap (n support points) of the exact double sum used for p != 1; above
 # this, pair sampling is the intended route.  ~2e8 pair evaluations per
@@ -172,12 +172,11 @@ def mahalanobis_norm_p(transform: WhiteningTransform, mean, p=2.0) -> float:
     return float(_pnorm_rows(transform.matrix @ mean, p))
 
 
-def _negativity(whitened: np.ndarray) -> tuple[bool, float | None]:
-    worst = float(whitened.min())
-    scale = max(1.0, float(np.abs(whitened).max()))
-    if worst < -NEGATIVITY_RTOL * scale:
-        return True, worst
-    return False, None
+def _whitened(sample: WeightedSample, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened points y and whitened mean m*, fitted on the sample's own moments."""
+    m = moments(sample)
+    transform = fit_whitening(method, m)
+    return sample.points @ transform.matrix.T, transform.matrix @ m.mean
 
 
 def _exact_chunks(n: int) -> list[slice]:
@@ -292,11 +291,8 @@ def gini_p(
     and reports a standard error alongside the estimate.
     """
     p = _validate_p(p)
-    m = moments(sample)
-    transform = fit_whitening(method, m)
-    y = sample.points @ transform.matrix.T
+    y, m_star = _whitened(sample, method)
     w = sample.weights
-    m_star = transform.matrix @ m.mean
     normalizer = float(_pnorm_rows(m_star, p))
     if normalizer == 0.0:
         raise NumericalError("whitened mean has zero p-norm")
@@ -324,7 +320,7 @@ def gini_p(
     else:
         raise DataError(f"unknown estimator {estimator!r}; choose 'exact' or 'pairs'")
 
-    negativity, worst = _negativity(y)
+    worst = worst_negative(y)
     weights = np.abs(m_star) / np.abs(m_star).sum() if p == 1.0 else None
     return GiniResult(
         p=p,
@@ -336,7 +332,7 @@ def gini_p(
         pair_count=pair_count,
         seed=seed_used,
         std_error=std_error,
-        negativity_warning=negativity,
+        negativity_warning=worst is not None,
         worst_negative=worst,
     )
 
@@ -350,10 +346,7 @@ def gini_1_decomposed(sample: WeightedSample, *, method: str = "zca_cor") -> Gin
     the same per-component sort); unlike it, rejects a zero whitened
     component mean, whose one-dimensional index is undefined.
     """
-    m = moments(sample)
-    transform = fit_whitening(method, m)
-    y = sample.points @ transform.matrix.T
-    m_star = transform.matrix @ m.mean
+    y, m_star = _whitened(sample, method)
     denom = float(np.abs(m_star).sum())
     if denom == 0.0:
         raise NumericalError("whitened mean has zero 1-norm")
@@ -365,7 +358,7 @@ def gini_1_decomposed(sample: WeightedSample, *, method: str = "zca_cor") -> Gin
         )
     component_ginis = np.array([gini_1d(y[:, i], sample.weights) for i in range(y.shape[1])])
     weights = np.abs(m_star) / denom
-    negativity, worst = _negativity(y)
+    worst = worst_negative(y)
     return GiniResult(
         p=1.0,
         value=float(weights @ component_ginis),
@@ -374,7 +367,7 @@ def gini_1_decomposed(sample: WeightedSample, *, method: str = "zca_cor") -> Gin
         estimator="exact",
         weights=weights,
         component_ginis=component_ginis,
-        negativity_warning=negativity,
+        negativity_warning=worst is not None,
         worst_negative=worst,
     )
 

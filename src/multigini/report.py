@@ -24,15 +24,6 @@ POOLED_LABEL = "All"
 
 
 @dataclass(frozen=True)
-class CompanyRecord:
-    """One unit of observation: a name, a group label, and d metric values."""
-
-    name: str
-    group: str
-    metrics: tuple
-
-
-@dataclass(frozen=True)
 class PanelSet:
     """Per-group samples (uniform weights) plus the pooled sample."""
 
@@ -63,120 +54,117 @@ class InequalityReport:
     rows: tuple = field(default_factory=tuple)
 
 
-def load_csv(path, metric_columns, group_column="group", name_column="name"):
-    """Parse the panel CSV into records, dropping unusable rows.
+@dataclass(frozen=True)
+class PanelTable:
+    """Columnar panel: an (n, d) float matrix and one group label per row."""
 
-    A row is dropped (and counted) when any metric value is missing,
-    non-numeric, or non-positive; the inequality indices require positive
-    data, and non-positive sizes are data errors in this domain.  Returns
-    ``(records, dropped_count)``.
+    values: np.ndarray
+    groups: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def _read_csv(path, metric_columns, positive, group_column=None, name_column=None):
+    """The one CSV reader: metric cells as a float matrix, plus group labels.
+
+    The name column, when given, is required but not read.  As with
+    ``csv.DictReader``, a repeated header name means its last occurrence and
+    blank lines are skipped.  A row is dropped and counted when a metric cell
+    is missing, non-numeric or non-finite, or with ``positive`` not positive.
+    Returns ``(matrix, labels, dropped)``; labels is None without a group column.
     """
     metric_columns = list(metric_columns)
+    if not metric_columns:
+        raise DataError("no metric columns given")
     try:
-        handle = open(path, "r", newline="", encoding="utf-8")
+        handle = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+        reader = csv.reader(handle)
+        index = {column: j for j, column in enumerate(next(reader, []))}
         for column in [name_column, group_column, *metric_columns]:
-            if column not in header:
+            if column is not None and column not in index:
                 raise DataError(f"missing column {column!r} in {path}")
-        records = []
-        dropped = 0
+        metric_index = [index[column] for column in metric_columns]
+        group_index = index.get(group_column)
+        values, labels, unparsed = [], [], 0
         for row in reader:
-            values = []
-            for column in metric_columns:
-                cell = (row.get(column) or "").strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan
-                values.append(value)
-            if any(not math.isfinite(v) or v <= 0.0 for v in values):
-                dropped += 1
+            if not row:
                 continue
-            records.append(
-                CompanyRecord(
-                    name=(row.get(name_column) or "").strip(),
-                    group=(row.get(group_column) or "").strip(),
-                    metrics=tuple(values),
-                )
-            )
-    if not records:
+            try:
+                values.extend([float(row[j]) for j in metric_index])
+            except (ValueError, IndexError):
+                unparsed += 1
+                continue
+            if group_index is not None:
+                labels.append(row[group_index].strip() if group_index < len(row) else "")
+    matrix = np.array(values, dtype=float).reshape(-1, len(metric_columns))
+    keep = np.isfinite(matrix).all(axis=1)
+    if positive:
+        keep &= (matrix > 0.0).all(axis=1)
+    dropped = unparsed + int(keep.size - np.count_nonzero(keep))
+    if not keep.any():
         raise DataError(f"no usable rows in {path} ({dropped} dropped)")
-    return records, dropped
+    labels = None if group_index is None else np.array(labels, dtype=object)[keep]
+    return matrix[keep], labels, dropped
+
+
+def load_csv(path, metric_columns, group_column="group", name_column="name"):
+    """Parse the panel CSV into a :class:`PanelTable`; returns ``(table, dropped_count)``.
+
+    Rows with a non-positive metric are dropped too: the inequality indices
+    require positive data, and non-positive sizes are data errors in this domain.
+    """
+    matrix, labels, dropped = _read_csv(
+        path, metric_columns, positive=True, group_column=group_column, name_column=name_column
+    )
+    return PanelTable(matrix, labels), dropped
 
 
 def load_metric_columns(path, metric_columns):
-    """Parse only the metric columns of a CSV into a matrix.
+    """Parse only the metric columns of a CSV; returns ``(matrix, dropped_count)``.
 
-    Unlike :func:`load_csv` (the company-report path, where non-positive
-    sizes are data errors), this loader keeps zeros and negative values:
-    the indices are defined for any finite data with nonzero means, and
-    exact fixtures legitimately place mass at zero.  Rows with missing or
-    non-numeric metric values are dropped and counted.  No group or name
-    columns are required.  Returns ``(matrix, dropped_count)``.
+    Unlike :func:`load_csv`, zeros and negative values are kept: the indices
+    are defined for any finite data with nonzero means, and exact fixtures
+    legitimately place mass at zero.  No group or name column is required.
     """
-    metric_columns = list(metric_columns)
-    try:
-        handle = open(path, "r", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        for column in metric_columns:
-            if column not in header:
-                raise DataError(f"missing column {column!r} in {path}")
-        rows = []
-        dropped = 0
-        for row in reader:
-            values = []
-            for column in metric_columns:
-                cell = (row.get(column) or "").strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan
-                values.append(value)
-            if any(not math.isfinite(v) for v in values):
-                dropped += 1
-                continue
-            rows.append(values)
-    if not rows:
-        raise DataError(f"no usable rows in {path} ({dropped} dropped)")
-    return np.asarray(rows, dtype=float), dropped
+    matrix, _, dropped = _read_csv(path, metric_columns, positive=False)
+    return matrix, dropped
 
 
-def panelize(records, min_group_size: int = 2) -> PanelSet:
-    """Group records into per-group samples plus the pooled sample.
+def panelize(table: PanelTable, min_group_size: int = 2) -> PanelSet:
+    """Group a table into per-group samples plus the pooled sample.
 
-    Groups smaller than ``min_group_size`` are excluded from the per-group
-    map but still contribute to the pooled sample.
+    Groups are keyed by label in sorted order, each keeping its rows in
+    table order.  Groups smaller than ``min_group_size`` are excluded from
+    the per-group map but still contribute to the pooled sample.
     """
     if min_group_size < 2:
         raise DataError(f"min_group_size must be >= 2, got {min_group_size}")
-    by_group: dict[str, list] = {}
-    pooled = []
-    for record in records:
-        by_group.setdefault(record.group, []).append(record.metrics)
-        pooled.append(record.metrics)
+    if len(table.groups) != len(table):
+        raise DataError(f"expected {len(table)} group labels, got {len(table.groups)}")
+    # a dict codes labels as Python strings: np.unique on a fixed-width string
+    # array drops trailing NULs, and on an object array it is slower
+    keys = sorted(set(table.groups))
+    code = {key: i for i, key in enumerate(keys)}
+    inverse = np.fromiter(map(code.__getitem__, table.groups), dtype=np.intp, count=len(table))
+    counts = np.bincount(inverse, minlength=len(keys))
+    rows = np.split(table.values[np.argsort(inverse, kind="stable")], np.cumsum(counts)[:-1])
     groups = {
-        name: WeightedSample(np.asarray(rows, dtype=float))
-        for name, rows in sorted(by_group.items())
-        if len(rows) >= min_group_size
+        key: WeightedSample(points)
+        for key, points, count in zip(keys, rows, counts)
+        if count >= min_group_size
     }
-    return PanelSet(groups=groups, pooled=WeightedSample(np.asarray(pooled, dtype=float)))
+    return PanelSet(groups=groups, pooled=WeightedSample(table.values))
 
 
 def _row_for_sample(label: str, sample: WeightedSample, p: float) -> GroupRow:
     # one degenerate group must not kill the whole report: each part that
     # fails turns into an error note, the rest is kept
     metric_ginis = None
-    g1 = None
-    weights = None
-    negativity = False
+    result = None
     notes = []
     try:
         metric_ginis = tuple(
@@ -184,23 +172,25 @@ def _row_for_sample(label: str, sample: WeightedSample, p: float) -> GroupRow:
         )
     except NumericalError as exc:
         notes.append(str(exc))
-    try:
-        if p == 1.0:
+    if p == 1.0:
+        try:
             result = gini_1_decomposed(sample)
-            weights = tuple(float(v) for v in result.weights)
-        else:
+        except NumericalError as exc:
+            notes.append(str(exc))
+    else:
+        # above the exact cap gini_p raises DataError, which is one row's note too
+        try:
             result = gini_p(sample, p)
-        g1 = result.value
-        negativity = result.negativity_warning
-    except NumericalError as exc:
-        notes.append(str(exc))
+        except (NumericalError, DataError) as exc:
+            notes.append(str(exc))
+    weights = None if result is None else result.weights
     return GroupRow(
         group=label,
         n=sample.n,
         metric_ginis=metric_ginis,
-        g1=g1,
-        weights=weights,
-        negativity_warning=negativity,
+        g1=None if result is None else result.value,
+        weights=None if weights is None else tuple(float(v) for v in weights),
+        negativity_warning=result is not None and result.negativity_warning,
         error="; ".join(notes) or None,
     )
 

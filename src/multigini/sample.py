@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 
-# Scale-free degeneracy threshold: a pivot or eigenvalue is treated as zero
-# when it does not exceed this fraction of the largest diagonal entry.
+# Scale-free degeneracy threshold: a variance, pivot or eigenvalue is treated
+# as zero when it does not exceed this fraction of the magnitude it is tested against.
 DEGENERACY_RTOL = 1e-12
 
 
@@ -134,13 +134,15 @@ class MomentSummary:
             raise DataError(f"covariance shape {cov.shape} does not match mean of length {mean.shape[0]}")
         _check_symmetric(cov)
         cov = 0.5 * (cov + cov.T)
-        return cls(mean=mean, covariance=cov, **_derive_scale_structure(cov))
+        return cls(mean=mean, covariance=cov, **_derive_scale_structure(cov, mean))
 
 
-def _derive_scale_structure(cov: np.ndarray) -> dict:
+def _derive_scale_structure(cov: np.ndarray, mean: np.ndarray) -> dict:
     """Variances, correlation, and zero-variance flags for a covariance matrix."""
     var = np.diag(cov).copy()
-    degenerate = var <= max(var.max(initial=0.0), 0.0) * DEGENERACY_RTOL
+    # each variance against its own component's second moment about zero, so
+    # rescaling one component cannot flag it
+    degenerate = var <= (var + mean * mean) * DEGENERACY_RTOL
     sd = np.sqrt(np.where(degenerate, 1.0, var))
     with np.errstate(invalid="ignore"):
         corr = cov / np.outer(sd, sd)
@@ -168,7 +170,7 @@ def moments(sample: WeightedSample) -> MomentSummary:
     diff = x - mean
     cov = (diff * w[:, None]).T @ diff
     cov = 0.5 * (cov + cov.T)
-    return MomentSummary(mean=mean, covariance=cov, **_derive_scale_structure(cov))
+    return MomentSummary(mean=mean, covariance=cov, **_derive_scale_structure(cov, mean))
 
 
 @dataclass(frozen=True)
@@ -231,16 +233,17 @@ def cholesky_lower(matrix) -> np.ndarray:
     """Lower-triangular C with positive diagonal and C C^T = matrix.
 
     Implemented directly (column at a time) so that near-degeneracy is
-    detected with the scale-free threshold ``DEGENERACY_RTOL * max(diag)``
-    and the error names the failing pivot index.
+    detected with the scale-free threshold ``DEGENERACY_RTOL * a[j, j]`` on
+    pivot j (rescaling a component cannot fail it) and the error names the
+    failing pivot index.
     """
     a = np.asarray(matrix, dtype=float)
     _check_symmetric(a)
     d = a.shape[0]
-    tol = DEGENERACY_RTOL * max(float(np.max(np.diag(a))), 0.0)
     c = np.zeros((d, d))
     for j in range(d):
         pivot = a[j, j] - c[j, :j] @ c[j, :j]
+        tol = DEGENERACY_RTOL * max(float(a[j, j]), 0.0)
         if pivot <= tol:
             raise NumericalError(
                 f"matrix is not positive definite: pivot {pivot:.3e} at index {j} "

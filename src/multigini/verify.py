@@ -21,6 +21,7 @@ import numpy as np
 
 from .gini import (
     _exact_mean_distance,
+    _whitened,
     gaussian_g1_closed_form,
     gini_1d,
     gini_1_decomposed,
@@ -122,9 +123,7 @@ def check_scale_stability_suite(seed: int, tamper: bool) -> tuple[bool, str]:
 
 def _double_sum_g1(sample: WeightedSample) -> float:
     """G_1 by the pairwise double sum, independent of the per-component sort."""
-    transform = fit_whitening("zca_cor", moments(sample))
-    y = sample.points @ transform.matrix.T
-    m_star = transform.matrix @ transform.fitted_moments.mean
+    y, m_star = _whitened(sample, "zca_cor")
     return _exact_mean_distance(y, sample.weights, 1.0, 1) / (2.0 * float(np.abs(m_star).sum()))
 
 

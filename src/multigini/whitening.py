@@ -40,6 +40,14 @@ METHODS = ("zca", "pca", "cholesky", "zca_cor")
 NEGATIVITY_RTOL = 1e-9
 
 
+def worst_negative(whitened: np.ndarray) -> float | None:
+    """Most negative whitened entry if below -NEGATIVITY_RTOL * max(1, max |entry|), else None."""
+    worst = float(whitened.min())
+    if worst < -NEGATIVITY_RTOL * max(1.0, float(np.abs(whitened).max())):
+        return worst
+    return None
+
+
 @dataclass(frozen=True)
 class WhiteningTransform:
     """A fitted whitening matrix with its method tag and diagnostics.
@@ -70,9 +78,8 @@ class WhiteningTransform:
             raise DataError(f"sample has dimension {sample.dim}, transform expects {self.dim}")
         out = sample.points @ self.matrix.T
         if np.all(sample.points >= 0.0):
-            worst = float(out.min()) if out.size else 0.0
-            scale = max(1.0, float(np.abs(out).max()))
-            if worst < -NEGATIVITY_RTOL * scale:
+            worst = worst_negative(out)
+            if worst is not None:
                 warnings.warn(
                     f"whitening a non-negative sample produced negative entries "
                     f"(worst {worst:.3e})",
@@ -92,6 +99,14 @@ def _spd_eigen(m: MomentSummary):
             f"covariance is singular or indefinite: smallest eigenvalue {smallest:.3e}"
         )
     return eig
+
+
+def _require_variance(m: MomentSummary, kind: str) -> None:
+    if m.zero_variance:
+        raise NumericalError(
+            f"zero variance in component(s) {list(m.zero_variance)}; "
+            f"{kind} whitening is undefined"
+        )
 
 
 def _make_transform(method: str, matrix: np.ndarray, m: MomentSummary) -> WhiteningTransform:
@@ -126,6 +141,7 @@ def fit_cholesky(m: MomentSummary) -> WhiteningTransform:
     W is lower triangular with positive diagonal, and the triangular
     structure is what makes this transform scale stable.
     """
+    _require_variance(m, "triangular")
     c = cholesky_lower(m.covariance)
     w = solve_triangular(c, np.eye(c.shape[0]), lower=True)
     return _make_transform("cholesky", w, m)
@@ -138,11 +154,7 @@ def fit_zca_cor(m: MomentSummary) -> WhiteningTransform:
     selection is the canonical one for inequality measurement; the
     correlation matrix is scale invariant, so the transform is scale stable.
     """
-    if m.zero_variance:
-        raise NumericalError(
-            f"zero variance in component(s) {list(m.zero_variance)}; "
-            "correlation whitening is undefined"
-        )
+    _require_variance(m, "correlation")
     eig = sym_eigen(m.correlation)
     tol = DEGENERACY_RTOL
     smallest = float(eig.eigenvalues[-1])

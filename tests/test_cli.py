@@ -184,6 +184,32 @@ class TestSummaryCorr:
         assert "mean" in proc.stdout and "std" in proc.stdout
 
 
+@pytest.fixture(scope="module")
+def bom_csv(grouped_csv, tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "bom.csv"
+    with open(grouped_csv, encoding="utf-8") as handle:
+        path.write_text("\ufeff" + handle.read(), encoding="utf-8")
+    return str(path)
+
+
+class TestBomInput:
+    """A UTF-8 byte-order mark before the header reads like the plain file."""
+
+    def test_report(self, grouped_csv, bom_csv):
+        args = ("--columns", "cap,emp,rev", "--group-column", "country", "--format", "json")
+        plain = run_cli("report", "--input", grouped_csv, *args)
+        bom = run_cli("report", "--input", bom_csv, *args)
+        assert bom.returncode == 0, bom.stderr
+        assert bom.stdout == plain.stdout
+
+    def test_gini(self, grouped_csv, bom_csv):
+        args = ("--columns", "cap,emp,rev", "--p", "2", "--format", "json")
+        plain = run_cli("gini", "--input", grouped_csv, *args)
+        bom = run_cli("gini", "--input", bom_csv, *args)
+        assert bom.returncode == 0, bom.stderr
+        assert bom.stdout == plain.stdout
+
+
 class TestReportCommand:
     def test_table_shape(self, grouped_csv):
         proc = run_cli(

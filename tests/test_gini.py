@@ -232,6 +232,9 @@ class TestGiniP:
         result = gini_p(WeightedSample(pts), 1.0)
         assert result.negativity_warning
         assert result.worst_negative < 0
+        decomposed = gini_1_decomposed(WeightedSample(pts))
+        assert decomposed.worst_negative == result.worst_negative
+        assert gini_p(WeightedSample(pts), 2.0).worst_negative == result.worst_negative
 
     def test_weights_populated_only_for_p1(self):
         sample = gen_spike_cube(0.3, 2)
@@ -268,6 +271,32 @@ class TestGiniP:
         assert gini_p(sample, p, threads=1).value == gini_p(sample, p, threads=4).value
         y, w = sample.points, sample.weights
         assert _exact_mean_distance(y, w, p, 1) == _exact_mean_distance(y, w, p, 4)
+
+
+class TestScaleFreeDegeneracy:
+    """Degeneracy is judged per component, so no rescaling can trigger it."""
+
+    @pytest.mark.parametrize("method", ["zca_cor", "cholesky"])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_tiny_or_huge_component_scale_keeps_value(self, method, p):
+        rng = np.random.default_rng(45)
+        sample = WeightedSample(rng.lognormal(0.0, 1.0, (400, 3)))
+        base = gini_p(sample, p, method=method).value
+        for q in ([1.0, 1e-6, 1.0], [1e-6, 1.0, 1e6], [1e-9, 1e9, 1.0]):
+            value = gini_p(sample.scaled(q), p, method=method).value
+            assert value == pytest.approx(base, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("method", ["zca_cor", "cholesky"])
+    def test_constant_component_still_rejected(self, method):
+        rng = np.random.default_rng(44)
+        points = rng.lognormal(size=(7, 3))
+        points[:, 1] = 0.1
+        sample = WeightedSample(points)
+        # 0.1 is not a binary fraction: the computed variance is rounding noise, not 0
+        assert moments(sample).covariance[1, 1] > 0.0
+        for q in ([1.0, 1.0, 1.0], [1e-6, 1e6, 1.0]):
+            with pytest.raises(NumericalError, match=r"zero variance in component\(s\) \[1\]"):
+                gini_p(sample.scaled(q), 1.0, method=method)
 
 
 class TestExactDoubleSum:

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multigini import (
     DataError,
     PanelSet,
+    PanelTable,
     WeightedSample,
     build_report,
     gen_spike_cube,
@@ -13,13 +16,36 @@ from multigini import (
     panelize,
     serialize_report,
 )
-from multigini.report import CompanyRecord, load_metric_columns, report_to_dict
+from multigini.gini import DEFAULT_EXACT_CAP
+from multigini.report import load_metric_columns, report_to_dict
 from multigini.synth import expand_to_rows
 
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def table(groups, values):
+    return PanelTable(np.asarray(values, dtype=float), np.asarray(groups, dtype=object))
+
+
+def record_loop_panelize(table, min_group_size=2):
+    """The per-record panelize loop the columnar one replaced, kept as its reference.
+
+    Returns the per-group point matrices (sorted by label) and the pooled matrix.
+    """
+    by_group = {}
+    pooled = []
+    for group, metrics in zip(table.groups, table.values.tolist()):
+        by_group.setdefault(group, []).append(tuple(metrics))
+        pooled.append(tuple(metrics))
+    groups = {
+        name: np.asarray(rows, dtype=float)
+        for name, rows in sorted(by_group.items())
+        if len(rows) >= min_group_size
+    }
+    return groups, np.asarray(pooled, dtype=float)
 
 
 WELL_FORMED = """name,country,marketcap,employees,revenues
@@ -32,38 +58,40 @@ Cave,JP,30,8,25
 class TestLoadCsv:
     def test_well_formed(self, tmp_path):
         path = write(tmp_path / "data.csv", WELL_FORMED)
-        records, dropped = load_csv(
+        panel, dropped = load_csv(
             path, ["marketcap", "employees", "revenues"], group_column="country"
         )
         assert dropped == 0
-        assert len(records) == 3
-        assert records[0] == CompanyRecord("Acme", "US", (100.0, 50.0, 80.0))
+        assert len(panel) == 3
+        np.testing.assert_array_equal(panel.values[0], [100.0, 50.0, 80.0])
+        assert panel.groups.tolist() == ["US", "US", "JP"]
 
     def test_blank_cell_dropped(self, tmp_path):
         path = write(
             tmp_path / "data.csv",
             "name,group,rev\nA,x,1\nB,x,\nC,y,3\n",
         )
-        records, dropped = load_csv(path, ["rev"])
+        panel, dropped = load_csv(path, ["rev"])
         assert dropped == 1
-        assert [r.name for r in records] == ["A", "C"]
+        assert panel.values[:, 0].tolist() == [1.0, 3.0]
+        assert panel.groups.tolist() == ["x", "y"]
 
     def test_non_positive_dropped(self, tmp_path):
         path = write(
             tmp_path / "data.csv",
             "name,group,rev\nA,x,1\nB,x,0\nC,y,-3\nD,y,2\n",
         )
-        records, dropped = load_csv(path, ["rev"])
+        panel, dropped = load_csv(path, ["rev"])
         assert dropped == 2
-        assert [r.name for r in records] == ["A", "D"]
+        assert panel.values[:, 0].tolist() == [1.0, 2.0]
 
     def test_accounting(self, tmp_path):
         path = write(
             tmp_path / "data.csv",
             "name,group,rev\nA,x,1\nB,x,bad\nC,y,3\nD,y,-1\nE,z,7\n",
         )
-        records, dropped = load_csv(path, ["rev"])
-        assert len(records) + dropped == 5
+        panel, dropped = load_csv(path, ["rev"])
+        assert len(panel) + dropped == 5
 
     def test_missing_column_named(self, tmp_path):
         path = write(tmp_path / "data.csv", "name,rev\nA,1\n")
@@ -84,8 +112,51 @@ class TestLoadCsv:
             tmp_path / "data.csv",
             'name,group,rev\n"Smith, Jones & Co",x,5\nB,x,7\n',
         )
-        records, _ = load_csv(path, ["rev"])
-        assert records[0].name == "Smith, Jones & Co"
+        panel, _ = load_csv(path, ["rev"])
+        assert panel.values[:, 0].tolist() == [5.0, 7.0]
+
+    def test_quoted_comma_in_group_cell(self, tmp_path):
+        path = write(tmp_path / "data.csv", 'name,group,rev\nA,"North, East",5\nB, West ,7\n')
+        panel, _ = load_csv(path, ["rev"])
+        assert panel.groups.tolist() == ["North, East", "West"]
+        assert panel.values[:, 0].tolist() == [5.0, 7.0]
+
+    def test_blank_lines_skipped_not_counted(self, tmp_path):
+        path = write(tmp_path / "data.csv", "name,group,rev\n\nA,x,1\n\n\nB,y,2\n\n")
+        panel, dropped = load_csv(path, ["rev"])
+        assert dropped == 0
+        assert panel.values[:, 0].tolist() == [1.0, 2.0]
+        matrix, dropped = load_metric_columns(path, ["rev"])
+        assert dropped == 0
+        assert matrix[:, 0].tolist() == [1.0, 2.0]
+
+    def test_duplicate_header_uses_last_occurrence(self, tmp_path):
+        path = write(tmp_path / "data.csv", "name,group,rev,group,rev\nA,x,-1,p,1\nB,y,-2,q,2\n")
+        panel, dropped = load_csv(path, ["rev"])
+        assert dropped == 0
+        assert panel.values[:, 0].tolist() == [1.0, 2.0]
+        assert panel.groups.tolist() == ["p", "q"]
+        matrix, _ = load_metric_columns(path, ["rev"])
+        assert matrix[:, 0].tolist() == [1.0, 2.0]
+
+    def test_short_row_has_missing_cells(self, tmp_path):
+        path = write(tmp_path / "data.csv", "name,group,a,b\nA,x,1,2\nB,x,3\nC\nD,y,4,5\n")
+        panel, dropped = load_csv(path, ["a", "b"])
+        assert dropped == 2
+        assert panel.values.tolist() == [[1.0, 2.0], [4.0, 5.0]]
+        matrix, dropped = load_metric_columns(path, ["a", "b"])
+        assert dropped == 2
+        # a short row that still holds every metric keeps an empty group label
+        panel, dropped = load_csv(write(tmp_path / "g.csv", "name,a,group\nA,1\nB,2,y\n"), ["a"])
+        assert dropped == 0
+        assert panel.groups.tolist() == ["", "y"]
+
+    def test_bom_header(self, tmp_path):
+        path = write(tmp_path / "data.csv", "\ufeffname,group,rev\nA,x,1\nB,x,2\n")
+        panel, dropped = load_csv(path, ["rev"])
+        assert (len(panel), dropped) == (2, 0)
+        matrix, _ = load_metric_columns(write(tmp_path / "m.csv", "\ufeffrev\n1\n2\n"), ["rev"])
+        assert matrix[:, 0].tolist() == [1.0, 2.0]
 
     def test_metric_loader_keeps_zeros(self, tmp_path):
         path = write(tmp_path / "data.csv", "name,group,a\nA,x,0\nB,x,2\nC,x,oops\n")
@@ -93,31 +164,68 @@ class TestLoadCsv:
         assert dropped == 1
         np.testing.assert_array_equal(matrix[:, 0], [0.0, 2.0])
 
+    def test_metric_loader_drops_non_finite_and_missing_column_named(self, tmp_path):
+        path = write(tmp_path / "data.csv", "a,b\n1,-2\ninf,1\nnan,1\n3,\n4,0\n")
+        matrix, dropped = load_metric_columns(path, ["a", "b"])
+        assert dropped == 3
+        assert matrix.tolist() == [[1.0, -2.0], [4.0, 0.0]]
+        with pytest.raises(DataError, match="missing column 'c'"):
+            load_metric_columns(path, ["a", "c"])
+
 
 class TestPanelize:
-    def records(self, sizes):
-        out = []
+    def table(self, sizes):
+        groups, values = [], []
         for label, count in sizes.items():
             for i in range(count):
-                out.append(CompanyRecord(f"{label}{i}", label, (float(i + 1), float(2 * i + 1))))
-        return out
+                groups.append(label)
+                values.append((float(i + 1), float(2 * i + 1)))
+        return table(groups, values)
 
     def test_small_group_excluded_but_pooled(self):
-        panels = panelize(self.records({"A": 5, "B": 1}), min_group_size=2)
+        panels = panelize(self.table({"A": 5, "B": 1}), min_group_size=2)
         assert list(panels.groups) == ["A"]
         assert panels.pooled.n == 6
 
     def test_all_groups_kept_when_large_enough(self):
-        panels = panelize(self.records({"A": 3, "B": 2}), min_group_size=2)
+        panels = panelize(self.table({"A": 3, "B": 2}), min_group_size=2)
         assert sorted(panels.groups) == ["A", "B"]
 
     def test_uniform_weights(self):
-        panels = panelize(self.records({"A": 4}), min_group_size=2)
+        panels = panelize(self.table({"A": 4}), min_group_size=2)
         np.testing.assert_array_equal(panels.groups["A"].weights, np.full(4, 0.25))
 
     def test_threshold_validated(self):
         with pytest.raises(DataError, match="min_group_size"):
-            panelize(self.records({"A": 3}), min_group_size=1)
+            panelize(self.table({"A": 3}), min_group_size=1)
+
+    def test_label_count_validated(self):
+        with pytest.raises(DataError, match="group labels"):
+            panelize(table(["A", "A"], np.ones((3, 2))))
+
+    def test_labels_order_as_python_strings(self):
+        # a fixed-width numpy string array would merge "a" and "a\x00"
+        labels = ["é", "a\x00", "", "a", "Z", "a", "", "é", "a\x00", "Z"]
+        values = np.arange(20.0).reshape(10, 2) + 1.0
+        panels = panelize(table(labels, values))
+        assert list(panels.groups) == ["", "Z", "a", "a\x00", "é"]
+        np.testing.assert_array_equal(panels.groups["a"].points, [[7.0, 8.0], [11.0, 12.0]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_record_loop(self, data):
+        keys = data.draw(st.lists(st.text(max_size=4), min_size=1, max_size=6, unique=True))
+        labels = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=40))
+        dim = data.draw(st.integers(1, 3))
+        min_group_size = data.draw(st.integers(2, 5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        panel = table(labels, rng.lognormal(0.0, 1.0, (len(labels), dim)))
+        ref_groups, ref_pooled = record_loop_panelize(panel, min_group_size)
+        panels = panelize(panel, min_group_size=min_group_size)
+        assert list(panels.groups) == list(ref_groups)
+        for key, points in ref_groups.items():
+            assert panels.groups[key].points.tobytes() == points.tobytes()
+        assert panels.pooled.points.tobytes() == ref_pooled.tobytes()
 
 
 def spike_panels():
@@ -140,29 +248,19 @@ class TestBuildReport:
 
     def test_rows_sorted_with_pooled_last(self):
         rng = np.random.default_rng(61)
-        records = [
-            CompanyRecord(f"c{i}", group, tuple(rng.lognormal(0, 0.5, 2)))
-            for group in ("zeta", "alpha", "mid")
-            for i in range(4)
-        ]
-        report = build_report(panelize(records))
+        groups = [group for group in ("zeta", "alpha", "mid") for _ in range(4)]
+        report = build_report(panelize(table(groups, rng.lognormal(0, 0.5, (12, 2)))))
         assert [r.group for r in report.rows] == ["alpha", "mid", "zeta", "All"]
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(62)
-        records = [
-            CompanyRecord(f"c{i}", "g", tuple(rng.lognormal(0, 0.5, 3))) for i in range(30)
-        ]
-        report = build_report(panelize(records))
+        report = build_report(panelize(table(["g"] * 30, rng.lognormal(0, 0.5, (30, 3)))))
         for row in report.rows:
             assert abs(sum(row.weights) - 1.0) <= 1e-12
 
     def test_indices_in_unit_interval_absent_warnings(self):
         rng = np.random.default_rng(63)
-        records = [
-            CompanyRecord(f"c{i}", "g", tuple(rng.lognormal(0, 0.8, 3))) for i in range(60)
-        ]
-        report = build_report(panelize(records))
+        report = build_report(panelize(table(["g"] * 60, rng.lognormal(0, 0.8, (60, 3)))))
         for row in report.rows:
             if row.negativity_warning:
                 continue
@@ -171,14 +269,27 @@ class TestBuildReport:
 
     def test_singular_group_gets_error_note(self):
         rng = np.random.default_rng(64)
-        good = [CompanyRecord(f"g{i}", "good", tuple(rng.lognormal(0, 0.5, 2))) for i in range(10)]
-        bad = [CompanyRecord(f"b{i}", "bad", (1.0, float(i + 1))) for i in range(5)]
-        report = build_report(panelize(good + bad))
+        good = rng.lognormal(0, 0.5, (10, 2))
+        bad = [(1.0, float(i + 1)) for i in range(5)]
+        report = build_report(panelize(table(["good"] * 10 + ["bad"] * 5, [*good, *bad])))
         by_group = {row.group: row for row in report.rows}
         assert by_group["bad"].error is not None
         assert by_group["bad"].g1 is None
         assert by_group["good"].error is None
         assert by_group["good"].g1 is not None
+
+    def test_group_above_exact_cap_gets_note_at_p2(self):
+        rng = np.random.default_rng(65)
+        big = DEFAULT_EXACT_CAP + 1
+        groups = ["big"] * big + ["small"] * 10
+        report = build_report(panelize(table(groups, rng.lognormal(0, 0.5, (big + 10, 2)))), p=2.0)
+        by_group = {row.group: row for row in report.rows}
+        for label in ("big", "All"):
+            assert "capped" in by_group[label].error
+            assert by_group[label].g1 is None
+            assert by_group[label].metric_ginis is not None
+        assert by_group["small"].error is None
+        assert by_group["small"].g1 is not None
 
     def test_summary_and_correlation_from_pooled(self):
         panels = spike_panels()
@@ -244,15 +355,14 @@ class TestSerialize:
         assert " 0.800" in text
 
     def test_error_rows_serializable_everywhere(self):
-        records = [CompanyRecord(f"b{i}", "bad", (1.0, float(i + 1))) for i in range(5)]
-        report = build_report(panelize(records))
+        report = build_report(panelize(table(["bad"] * 5, [(1.0, i + 1.0) for i in range(5)])))
         for fmt in ("table", "csv", "json"):
             text = serialize_report(report, fmt)
             assert "singular" in text or "zero variance" in text
 
     def test_nan_correlation_becomes_null_in_json(self):
-        records = [CompanyRecord(f"b{i}", "bad", (1.0, float(i + 1))) for i in range(5)]
-        payload = json.loads(serialize_report(build_report(panelize(records)), "json"))
+        bad = table(["bad"] * 5, [(1.0, i + 1.0) for i in range(5)])
+        payload = json.loads(serialize_report(build_report(panelize(bad)), "json"))
         assert payload["correlation"][0][1] is None
 
     def test_unknown_format(self):

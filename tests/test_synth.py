@@ -210,18 +210,17 @@ class TestCsvExport:
         sample = gen_spike_cube(0.2, 2)
         path = tmp_path / "fixture.csv"
         write_sample_csv(sample, path, ["a", "b"], rows=25)
-        records, dropped = load_csv(path, ["a", "b"])
+        panel, dropped = load_csv(path, ["a", "b"])
         assert dropped == 24  # every row touching the zero support point
-        assert len(records) == 1
+        assert len(panel) == 1
 
     def test_round_trip_positive_sample(self, tmp_path):
         sample = gen_coinflip_cube(1.0, 2)  # support {1, 3}^2, strictly positive
         path = tmp_path / "coin.csv"
         write_sample_csv(sample, path, ["x", "y"])
-        records, dropped = load_csv(path, ["x", "y"])
+        panel, dropped = load_csv(path, ["x", "y"])
         assert dropped == 0
-        pts = np.array([r.metrics for r in records])
-        back = WeightedSample(pts)
+        back = WeightedSample(panel.values)
         np.testing.assert_allclose(moments(back).mean, moments(sample).mean, atol=1e-14)
 
     def test_requires_uniform_weights_without_rows(self, tmp_path):

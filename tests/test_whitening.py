@@ -16,6 +16,7 @@ from multigini import (
     pca_instability_fixture,
     scale_stability_check,
 )
+from multigini.whitening import worst_negative
 
 ALL_METHODS = ("zca", "pca", "cholesky", "zca_cor")
 
@@ -168,6 +169,13 @@ class TestApply:
         with pytest.warns(NegativityWarning):
             out = t.apply(s)
         assert out.points.min() < 0
+
+    def test_worst_negative_threshold(self):
+        # the tolerance is NEGATIVITY_RTOL (1e-9) times max(1, largest magnitude)
+        assert worst_negative(np.array([[-0.5e-9, 1.0]])) is None
+        assert worst_negative(np.array([[-2e-9, 1.0]])) == -2e-9
+        assert worst_negative(np.array([[-2e-9, 10.0]])) is None
+        assert worst_negative(np.array([[-2e-8, 10.0]])) == -2e-8
 
     def test_bundled_generators_whiten_non_negative(self):
         import warnings
