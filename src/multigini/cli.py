@@ -197,10 +197,7 @@ def cmd_whiten(args) -> int:
 
 def cmd_report(args) -> int:
     table, dropped = load_csv(
-        args.input,
-        _parse_columns(args.columns),
-        group_column=args.group_column,
-        name_column=args.name_column,
+        args.input, _parse_columns(args.columns), group_column=args.group_column
     )
     if dropped:
         print(f"dropped rows: {dropped}", file=sys.stderr)
@@ -288,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="grouped inequality report (table, csv or json)")
     _add_csv_flags(p_report)
     p_report.add_argument("--group-column", default="group")
-    p_report.add_argument("--name-column", default="name")
     p_report.add_argument("--min-group-size", type=int, default=2)
     p_report.add_argument("--p", default="1", help="index order (default 1)")
     p_report.add_argument("--format", choices=("table", "csv", "json"), default="table")

@@ -44,11 +44,12 @@ _PAIR_CHUNK = 1 << 18
 class GiniResult:
     """Value of G_p with its normalizer and estimation diagnostics.
 
-    ``weights`` and ``component_ginis`` are only populated for p = 1 (the
-    decomposition weights |m*_i|/sum|m*_j| and the per-component indices of
-    the whitened sample); ``std_error``, ``pair_count`` and ``seed`` only
-    for the pair-sampling estimator.  ``worst_negative`` is the most
-    negative whitened entry when the negativity diagnostic fired.
+    ``weights`` (|m*_i|/sum|m*_j|) is only populated for p = 1, and
+    ``component_ginis`` (the indices of the whitened components, which
+    ``weights`` combine into ``value``) for exact p = 1 with every m*_i
+    nonzero; ``std_error``, ``pair_count`` and ``seed`` only for the
+    pair-sampling estimator.  ``worst_negative`` is the most negative
+    whitened entry when the negativity diagnostic fired.
     """
 
     p: float
@@ -283,12 +284,13 @@ def gini_p(
 
     estimator="exact" is exact up to roundoff.  For p = 1 it sums the
     per-component mean absolute differences, each by one sort and prefix
-    sums: O(n log n), uncapped, single threaded.  For p != 1 it evaluates
-    the double sum over support pairs, O(n^2 d), which requires
-    n <= exact_cap and is the only step ``threads`` parallelizes (the value
-    does not depend on ``threads``).  estimator="pairs" draws ``pairs``
-    independent index pairs from the weight distribution with a fixed seed
-    and reports a standard error alongside the estimate.
+    sums: O(n log n), uncapped, single threaded; each over 2|m*_i| is that
+    component's index in ``component_ginis``, unless some m*_i is zero.  For
+    p != 1 it evaluates the double sum over support pairs, O(n^2 d), which
+    requires n <= exact_cap and is the only step ``threads`` parallelizes
+    (the value does not depend on ``threads``).  estimator="pairs" draws
+    ``pairs`` independent index pairs from the weight distribution with a
+    fixed seed and reports a standard error alongside the estimate.
     """
     p = _validate_p(p)
     y, m_star = _whitened(sample, method)
@@ -297,13 +299,17 @@ def gini_p(
     if normalizer == 0.0:
         raise NumericalError("whitened mean has zero p-norm")
 
+    component_ginis = None
     if estimator == "exact":
         if p == 1.0:
             # the p = 1 distance splits into per-component mean absolute
             # differences, each O(n log n); no division by a component mean
+            mad = [_mean_abs_difference(column, w) for column in y.T]
             mean_dist = 0.0
-            for column in y.T:
-                mean_dist += _mean_abs_difference(column, w)
+            for value in mad:
+                mean_dist += value
+            if np.all(m_star != 0.0):
+                component_ginis = np.array(mad) / (2.0 * np.abs(m_star))
         elif sample.n > exact_cap:
             raise DataError(
                 f"exact estimator capped at n={exact_cap} (sample has {sample.n}); "
@@ -329,6 +335,7 @@ def gini_p(
         method=method,
         estimator=estimator,
         weights=weights,
+        component_ginis=component_ginis,
         pair_count=pair_count,
         seed=seed_used,
         std_error=std_error,
@@ -338,38 +345,21 @@ def gini_p(
 
 
 def gini_1_decomposed(sample: WeightedSample, *, method: str = "zca_cor") -> GiniResult:
-    """G_1 via the exact decomposition into one-dimensional indices.
+    """Exact G_1 with its decomposition into one-dimensional indices.
 
-    Whitens the sample, computes the one-dimensional Gini of every whitened
-    component, and combines them with weights |m*_i| / sum_j |m*_j|.  Agrees
-    with ``gini_p(sample, 1, estimator="exact")`` up to roundoff (both use
-    the same per-component sort); unlike it, rejects a zero whitened
-    component mean, whose one-dimensional index is undefined.
+    Returns ``gini_p(sample, 1, method=method)``, whose ``value`` equals
+    ``weights @ component_ginis``: the indices of the whitened components
+    combined with weights |m*_i| / sum_j |m*_j|.  Unlike ``gini_p``, rejects
+    a zero whitened component mean, whose one-dimensional index is undefined.
     """
-    y, m_star = _whitened(sample, method)
-    denom = float(np.abs(m_star).sum())
-    if denom == 0.0:
-        raise NumericalError("whitened mean has zero 1-norm")
-    zero_mean = np.flatnonzero(m_star == 0.0)
-    if zero_mean.size:
+    result = gini_p(sample, 1.0, method=method)
+    if result.component_ginis is None:
+        zero_mean = np.flatnonzero(result.weights == 0.0)
         raise NumericalError(
             f"whitened component(s) {zero_mean.tolist()} have zero mean; "
             "their one-dimensional index is undefined"
         )
-    component_ginis = np.array([gini_1d(y[:, i], sample.weights) for i in range(y.shape[1])])
-    weights = np.abs(m_star) / denom
-    worst = worst_negative(y)
-    return GiniResult(
-        p=1.0,
-        value=float(weights @ component_ginis),
-        normalizer=denom,
-        method=method,
-        estimator="exact",
-        weights=weights,
-        component_ginis=component_ginis,
-        negativity_warning=worst is not None,
-        worst_negative=worst,
-    )
+    return result
 
 
 def gaussian_g1_closed_form(mean, cov) -> float:

@@ -111,11 +111,12 @@ def _read_csv(path, metric_columns, positive, group_column=None, name_column=Non
     return matrix[keep], labels, dropped
 
 
-def load_csv(path, metric_columns, group_column="group", name_column="name"):
+def load_csv(path, metric_columns, group_column="group", name_column=None):
     """Parse the panel CSV into a :class:`PanelTable`; returns ``(table, dropped_count)``.
 
     Rows with a non-positive metric are dropped too: the inequality indices
     require positive data, and non-positive sizes are data errors in this domain.
+    A ``name_column``, when given, must be present but is not read.
     """
     matrix, labels, dropped = _read_csv(
         path, metric_columns, positive=True, group_column=group_column, name_column=name_column

@@ -89,24 +89,36 @@ class WhiteningTransform:
         return WeightedSample(out, sample.weights)
 
 
-def _spd_eigen(m: MomentSummary):
-    """Eigendecomposition of the covariance, rejecting singular/indefinite input."""
-    eig = sym_eigen(m.covariance)
-    tol = DEGENERACY_RTOL * max(float(np.max(m.variances)), 0.0)
-    smallest = float(eig.eigenvalues[-1])
-    if smallest <= tol:
-        raise NumericalError(
-            f"covariance is singular or indefinite: smallest eigenvalue {smallest:.3e}"
-        )
-    return eig
+def _nonsingular_correlation(m: MomentSummary, kind: str):
+    """Eigendecomposition of the correlation: the singularity test of every method.
 
-
-def _require_variance(m: MomentSummary, kind: str) -> None:
+    Rejects zero variance and a smallest correlation eigenvalue at most
+    DEGENERACY_RTOL, neither of which changes when a component is rescaled.
+    """
     if m.zero_variance:
         raise NumericalError(
             f"zero variance in component(s) {list(m.zero_variance)}; "
             f"{kind} whitening is undefined"
         )
+    eig = sym_eigen(m.correlation)
+    smallest = float(eig.eigenvalues[-1])
+    if smallest <= DEGENERACY_RTOL:
+        raise NumericalError(
+            f"correlation matrix is singular or indefinite: smallest eigenvalue {smallest:.3e}"
+        )
+    return eig
+
+
+def _spd_eigen(m: MomentSummary):
+    """Eigendecomposition of the covariance, for a nonsingular correlation."""
+    _nonsingular_correlation(m, "covariance")
+    eig = sym_eigen(m.covariance)
+    smallest = float(eig.eigenvalues[-1])
+    if smallest <= 0.0:  # roundoff, on components of widely different scales
+        raise NumericalError(
+            f"covariance is not positive definite: smallest eigenvalue {smallest:.3e}"
+        )
+    return eig
 
 
 def _make_transform(method: str, matrix: np.ndarray, m: MomentSummary) -> WhiteningTransform:
@@ -141,7 +153,7 @@ def fit_cholesky(m: MomentSummary) -> WhiteningTransform:
     W is lower triangular with positive diagonal, and the triangular
     structure is what makes this transform scale stable.
     """
-    _require_variance(m, "triangular")
+    _nonsingular_correlation(m, "triangular")
     c = cholesky_lower(m.covariance)
     w = solve_triangular(c, np.eye(c.shape[0]), lower=True)
     return _make_transform("cholesky", w, m)
@@ -154,14 +166,7 @@ def fit_zca_cor(m: MomentSummary) -> WhiteningTransform:
     selection is the canonical one for inequality measurement; the
     correlation matrix is scale invariant, so the transform is scale stable.
     """
-    _require_variance(m, "correlation")
-    eig = sym_eigen(m.correlation)
-    tol = DEGENERACY_RTOL
-    smallest = float(eig.eigenvalues[-1])
-    if smallest <= tol:
-        raise NumericalError(
-            f"correlation matrix is singular or indefinite: smallest eigenvalue {smallest:.3e}"
-        )
+    eig = _nonsingular_correlation(m, "correlation")
     o = eig.eigenvectors
     p_inv_root = (o * eig.eigenvalues**-0.5) @ o.T
     w = p_inv_root / np.sqrt(m.variances)[None, :]

@@ -79,6 +79,9 @@ class TestGiniCommand:
         assert abs(payload["value"] - 0.8) <= 1e-10
         assert payload["estimator"] == "exact"
         assert len(payload["weights"]) == 3
+        # the p=1 decomposition: value is the weighted sum of the component indices
+        combined = sum(w * g for w, g in zip(payload["weights"], payload["component_ginis"]))
+        assert abs(combined - payload["value"]) <= 1e-12
 
     def test_thread_count_does_not_change_output(self, spike_csv):
         args = ("gini", "--input", spike_csv, "--columns", "m1,m2,m3", "--format", "json")
@@ -239,6 +242,18 @@ class TestReportCommand:
         )
         assert proc.returncode == 0
         assert out.read_text(encoding="utf-8").startswith("group,n,gini_cap")
+
+
+    def test_name_column_not_required(self, grouped_csv, tmp_path):
+        # the report never reads a name column, so a file without one works
+        with open(grouped_csv, encoding="utf-8") as handle:
+            text = "".join(line.split(",", 1)[1] for line in handle)
+        path = tmp_path / "unnamed.csv"
+        path.write_text(text, encoding="utf-8")
+        args = ("--columns", "cap,emp,rev", "--group-column", "country", "--format", "json")
+        unnamed = run_cli("report", "--input", str(path), *args)
+        assert unnamed.returncode == 0, unnamed.stderr
+        assert unnamed.stdout == run_cli("report", "--input", grouped_csv, *args).stdout
 
 
 class TestVerifyCommand:

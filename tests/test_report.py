@@ -98,6 +98,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="'group'"):
             load_csv(path, ["rev"])
 
+    def test_name_column_required_only_when_named(self, tmp_path):
+        path = write(tmp_path / "data.csv", "group,rev\nx,1\ny,2\n")
+        panel, dropped = load_csv(path, ["rev"])
+        assert (panel.groups.tolist(), dropped) == (["x", "y"], 0)
+        with pytest.raises(DataError, match="missing column 'name'"):
+            load_csv(path, ["rev"], name_column="name")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_csv(tmp_path / "nope.csv", ["rev"])

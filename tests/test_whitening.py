@@ -125,6 +125,23 @@ class TestFitErrors:
         with pytest.raises(NumericalError, match="smallest eigenvalue"):
             fit_zca(m)
 
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_collinear_sample_reports_smallest_eigenvalue(self, method):
+        rng = np.random.default_rng(26)
+        base = rng.lognormal(size=(50, 2))
+        sample = WeightedSample(np.column_stack([base, base @ [2.0, 3.0]]))
+        with pytest.raises(NumericalError, match="smallest eigenvalue"):
+            fit_whitening(method, moments(sample))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_singularity_test_is_scale_free(self, method, seed):
+        # a well-conditioned sample with one column in units a million times
+        # larger: the covariance is ill-conditioned, the correlation is not
+        points = np.random.default_rng(seed).lognormal(0.0, 0.6, (400, 3))
+        m = moments(WeightedSample(points).scaled([1.0, 1e-6, 1.0]))
+        assert fit_whitening(method, m).dim == 3
+
     def test_zero_variance_names_component(self):
         m = moments(WeightedSample([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]]))
         with pytest.raises(NumericalError, match=r"component\(s\) \[0\]"):
