@@ -45,16 +45,6 @@ from .sample import (
     moments,
     sym_eigen,
 )
-from .synth import (
-    Fixture,
-    brute_force_gini_1d,
-    brute_force_gini_p,
-    gen_coinflip_cube,
-    gen_gaussian,
-    gen_spike_cube,
-    pca_instability_fixture,
-    write_sample_csv,
-)
 from .whitening import (
     WhiteningTransform,
     fit_cholesky,
@@ -70,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DataError",
     "EigenDecomposition",
-    "Fixture",
     "GiniResult",
     "InequalityReport",
     "MomentSummary",
@@ -80,8 +69,6 @@ __all__ = [
     "PanelTable",
     "WeightedSample",
     "WhiteningTransform",
-    "brute_force_gini_1d",
-    "brute_force_gini_p",
     "build_report",
     "cholesky_lower",
     "fit_cholesky",
@@ -90,9 +77,6 @@ __all__ = [
     "fit_zca",
     "fit_zca_cor",
     "gaussian_g1_closed_form",
-    "gen_coinflip_cube",
-    "gen_gaussian",
-    "gen_spike_cube",
     "gini_1d",
     "gini_1_decomposed",
     "gini_p",
@@ -100,9 +84,7 @@ __all__ = [
     "mahalanobis_norm_p",
     "moments",
     "panelize",
-    "pca_instability_fixture",
     "scale_stability_check",
     "serialize_report",
     "sym_eigen",
-    "write_sample_csv",
 ]

@@ -20,10 +20,13 @@ from .errors import DataError, NumericalError
 from .gini import DEFAULT_EXACT_CAP, gini_p
 from .report import (
     build_report,
+    correlation_json,
+    correlation_lines,
     load_csv,
     load_metric_columns,
     panelize,
     serialize_report,
+    summary_lines,
 )
 from .sample import WeightedSample, moments
 from .verify import DEFAULT_SEED, run_checks
@@ -97,21 +100,18 @@ def cmd_summary(args) -> int:
     columns = _parse_columns(args.columns)
     sample = _load_sample(args)
     m = moments(sample)
+    std = [math.sqrt(v) for v in m.variances]
     if args.format == "json":
         payload = {
             "n": sample.n,
             "summary": {
-                name: {"mean": float(m.mean[j]), "std": float(math.sqrt(m.variances[j]))}
-                for j, name in enumerate(columns)
+                name: {"mean": float(m.mean[j]), "std": std[j]} for j, name in enumerate(columns)
             },
         }
         print(json.dumps(payload, indent=2))
         return EXIT_OK
-    width = max(len("metric"), *(len(c) for c in columns))
     print(f"n: {sample.n}")
-    print(f"{'metric':<{width}}  {'mean':>12}  {'std':>12}")
-    for j, name in enumerate(columns):
-        print(f"{name:<{width}}  {m.mean[j]:>12.3e}  {math.sqrt(m.variances[j]):>12.3e}")
+    print("\n".join(summary_lines(columns, m.mean, std, max(len("metric"), *map(len, columns)))))
     return EXIT_OK
 
 
@@ -120,16 +120,10 @@ def cmd_corr(args) -> int:
     sample = _load_sample(args)
     m = moments(sample)
     if args.format == "json":
-        corr = [[None if not math.isfinite(v) else float(v) for v in row] for row in m.correlation]
+        corr = correlation_json(m.correlation)
         print(json.dumps({"n": sample.n, "columns": columns, "correlation": corr}, indent=2))
         return EXIT_OK
-    width = max(len(c) for c in columns)
-    print(f"{'':<{width}}  " + "  ".join(f"{c:>8}" for c in columns))
-    for j, name in enumerate(columns):
-        cells = "  ".join(
-            f"{v:>8.3f}" if math.isfinite(v) else f"{'nan':>8}" for v in m.correlation[j]
-        )
-        print(f"{name:<{width}}  {cells}")
+    print("\n".join(correlation_lines(columns, m.correlation, max(map(len, columns)))))
     return EXIT_OK
 
 

@@ -226,11 +226,25 @@ def build_report(panels: PanelSet, p: float = 1.0, metric_names=None) -> Inequal
     )
 
 
-def _nan_to_none(value):
-    if value is None:
-        return None
-    value = float(value)
-    return value if math.isfinite(value) else None
+def correlation_json(correlation) -> list:
+    """Correlation rows as JSON lists; the nan of a zero-variance component becomes null."""
+    return [[float(v) if math.isfinite(v) else None for v in row] for row in correlation]
+
+
+def summary_lines(names, mean, std, width: int) -> list[str]:
+    """Header and one row per metric of the mean / std table, names padded to width."""
+    lines = [f"{'metric':<{width}}  {'mean':>12}  {'std':>12}"]
+    lines += [f"{name:<{width}}  {mean[j]:>12.3e}  {std[j]:>12.3e}" for j, name in enumerate(names)]
+    return lines
+
+
+def correlation_lines(names, correlation, width: int) -> list[str]:
+    """Header and one row per metric of the correlation table, names padded to width."""
+    lines = [f"{'':<{width}}  " + "  ".join(f"{name:>8}" for name in names)]
+    for name, row in zip(names, correlation):
+        cells = "  ".join(f"{v:>8.3f}" if math.isfinite(v) else f"{'nan':>8}" for v in row)
+        lines.append(f"{name:<{width}}  {cells}")
+    return lines
 
 
 def report_to_dict(report: InequalityReport) -> dict:
@@ -245,7 +259,7 @@ def report_to_dict(report: InequalityReport) -> dict:
             name: {"mean": report.summary_mean[j], "std": report.summary_std[j]}
             for j, name in enumerate(report.metrics)
         },
-        "correlation": [[_nan_to_none(v) for v in row] for row in report.correlation],
+        "correlation": correlation_json(report.correlation),
         "rows": [
             {
                 "group": row.group,
@@ -271,23 +285,12 @@ def report_to_dict(report: InequalityReport) -> dict:
 
 def _format_table(report: InequalityReport) -> str:
     metrics = report.metrics
-    lines = ["Summary statistics (pooled)"]
     name_width = max(len("metric"), *(len(m) for m in metrics))
-    lines.append(f"{'metric':<{name_width}}  {'mean':>12}  {'std':>12}")
-    for j, name in enumerate(metrics):
-        lines.append(
-            f"{name:<{name_width}}  {report.summary_mean[j]:>12.3e}  {report.summary_std[j]:>12.3e}"
-        )
-    lines.append("")
-    lines.append("Correlation matrix (pooled)")
-    lines.append(f"{'':<{name_width}}  " + "  ".join(f"{m:>8}" for m in metrics))
-    for j, name in enumerate(metrics):
-        cells = "  ".join(
-            f"{v:>8.3f}" if math.isfinite(v) else f"{'nan':>8}" for v in report.correlation[j]
-        )
-        lines.append(f"{name:<{name_width}}  {cells}")
-    lines.append("")
-    lines.append("Inequality by group")
+    lines = ["Summary statistics (pooled)"]
+    lines += summary_lines(metrics, report.summary_mean, report.summary_std, name_width)
+    lines += ["", "Correlation matrix (pooled)"]
+    lines += correlation_lines(metrics, report.correlation, name_width)
+    lines += ["", "Inequality by group"]
     group_width = max(len("group"), *(len(r.group) for r in report.rows))
     head = [f"{'group':<{group_width}}", f"{'n':>6}"]
     head += [f"{'gini_' + m:>{max(10, len(m) + 5)}}" for m in metrics]

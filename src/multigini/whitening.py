@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DataError, NegativityWarning, NumericalError
 from .sample import (
@@ -155,7 +154,10 @@ def fit_cholesky(m: MomentSummary) -> WhiteningTransform:
     """
     _nonsingular_correlation(m, "triangular")
     c = cholesky_lower(m.covariance)
-    w = solve_triangular(c, np.eye(c.shape[0]), lower=True)
+    w = np.zeros_like(c)
+    for j in range(c.shape[0]):  # forward substitution, C W = I row by row
+        w[j, j] = 1.0 / c[j, j]
+        w[j, :j] = -(c[j, :j] @ w[:j, :j]) / c[j, j]
     return _make_transform("cholesky", w, m)
 
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from multigini import gen_spike_cube, pca_instability_fixture, write_sample_csv
+from multigini.synth import gen_spike_cube, pca_instability_fixture, write_sample_csv
 
 
 def run_cli(*args):
@@ -186,6 +186,26 @@ class TestSummaryCorr:
         assert proc.returncode == 0
         assert "mean" in proc.stdout and "std" in proc.stdout
 
+    def test_zero_variance_column_matches_report_blocks(self, tmp_path):
+        rows = [f"g,{v},2.5,{3 * v}" for v in (1.0, 4.0, 2.0, 7.0)]
+        path = tmp_path / "flat.csv"
+        path.write_text("group,a,flat,b\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        args = ("--input", str(path), "--columns", "a,flat,b")
+        summary, corr, report = (run_cli(c, *args) for c in ("summary", "corr", "report"))
+        assert summary.returncode == corr.returncode == report.returncode == 0
+        assert summary.stdout.splitlines()[1:] == report.stdout.splitlines()[1:5]
+        assert corr.stdout.splitlines() == [
+            "             a      flat         b",
+            "a        1.000       nan     1.000",
+            "flat       nan       nan       nan",
+            "b        1.000       nan     1.000",
+        ]
+        json_out = {c: json.loads(run_cli(c, *args, "--format", "json").stdout)
+                    for c in ("summary", "corr", "report")}
+        assert json_out["corr"]["correlation"] == json_out["report"]["correlation"]
+        assert json_out["corr"]["correlation"][1] == [None, None, None]
+        assert json_out["summary"]["summary"] == json_out["report"]["summary"]
+
 
 @pytest.fixture(scope="module")
 def bom_csv(grouped_csv, tmp_path_factory):
@@ -280,3 +300,15 @@ class TestVerifyCommand:
     def test_unknown_check_name(self):
         proc = run_cli("verify", "--checks", "nonsense")
         assert proc.returncode == 2
+
+    def test_runs_without_scipy(self):
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from multigini.cli import main\n"
+            "raise SystemExit(main(['verify', '--checks', "
+            "'pca-instability-witness,scale-stability-suite,norm-independence']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        assert proc.stdout.count("PASS") == 3

@@ -11,14 +11,9 @@ from multigini import (
     MomentSummary,
     NumericalError,
     WeightedSample,
-    brute_force_gini_1d,
-    brute_force_gini_p,
     fit_whitening,
     fit_zca,
     gaussian_g1_closed_form,
-    gen_coinflip_cube,
-    gen_gaussian,
-    gen_spike_cube,
     gini_1d,
     gini_1_decomposed,
     gini_p,
@@ -26,6 +21,13 @@ from multigini import (
     moments,
 )
 from multigini.gini import _exact_chunks, _exact_mean_distance
+from multigini.synth import (
+    brute_force_gini_1d,
+    brute_force_gini_p,
+    gen_coinflip_cube,
+    gen_gaussian,
+    gen_spike_cube,
+)
 
 
 def random_nonneg_sample(rng, d, n, weighted=False):

@@ -11,14 +11,13 @@ from multigini import (
     PanelTable,
     WeightedSample,
     build_report,
-    gen_spike_cube,
     load_csv,
     panelize,
     serialize_report,
 )
 from multigini.gini import DEFAULT_EXACT_CAP
 from multigini.report import load_metric_columns, report_to_dict
-from multigini.synth import expand_to_rows
+from multigini.synth import expand_to_rows, gen_spike_cube
 
 
 def write(path, text):

@@ -9,21 +9,23 @@ from multigini import (
     NumericalError,
     WeightedSample,
     WhiteningTransform,
-    brute_force_gini_p,
     fit_whitening,
-    gen_coinflip_cube,
-    gen_gaussian,
-    gen_spike_cube,
     gini_1d,
     gini_1_decomposed,
     gini_p,
     load_csv,
     moments,
-    pca_instability_fixture,
     sym_eigen,
+)
+from multigini.synth import (
+    brute_force_gini_p,
+    expand_to_rows,
+    gen_coinflip_cube,
+    gen_gaussian,
+    gen_spike_cube,
+    pca_instability_fixture,
     write_sample_csv,
 )
-from multigini.synth import expand_to_rows
 
 
 class TestGenGaussian:

@@ -7,15 +7,16 @@ from multigini import (
     NegativityWarning,
     NumericalError,
     WeightedSample,
+    cholesky_lower,
     fit_cholesky,
     fit_pca,
     fit_whitening,
     fit_zca,
     fit_zca_cor,
     moments,
-    pca_instability_fixture,
     scale_stability_check,
 )
+from multigini.synth import pca_instability_fixture
 from multigini.whitening import worst_negative
 
 ALL_METHODS = ("zca", "pca", "cholesky", "zca_cor")
@@ -30,8 +31,6 @@ def random_spd_moments(rng, d, mean_scale=3.0):
 
 def gaussian_design_sample(mean, cov):
     """Exact finite sample realizing the given first two moments."""
-    from multigini import cholesky_lower
-
     d = len(mean)
     masks = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
     design = np.where(masks == 1, 1.0, -1.0) * np.sqrt(1.0)
@@ -104,10 +103,15 @@ class TestWhiteness:
 
     def test_cholesky_matrix_lower_triangular_positive_diag(self):
         rng = np.random.default_rng(24)
-        m = random_spd_moments(rng, 5)
-        t = fit_cholesky(m)
-        assert np.abs(np.triu(t.matrix, 1)).max() == 0.0
-        assert np.all(np.diag(t.matrix) > 0)
+        for _ in range(200):
+            d = int(rng.integers(2, 11))
+            base = random_spd_moments(rng, d)
+            q = 10.0 ** rng.uniform(-9.0, 9.0, d)
+            m = MomentSummary.from_mean_cov(base.mean * q, base.covariance * np.outer(q, q))
+            w = fit_cholesky(m).matrix
+            assert np.all(np.triu(w, 1) == 0.0)
+            assert np.all(np.diag(w) > 0)
+            assert np.abs(w @ cholesky_lower(m.covariance) - np.eye(d)).max() <= 1e-13
 
     def test_zca_cor_conjugated_factor_symmetric(self):
         rng = np.random.default_rng(25)
@@ -197,7 +201,7 @@ class TestApply:
     def test_bundled_generators_whiten_non_negative(self):
         import warnings
 
-        from multigini import gen_coinflip_cube, gen_spike_cube
+        from multigini.synth import gen_coinflip_cube, gen_spike_cube
 
         samples = [
             gen_spike_cube(0.2, 3),
