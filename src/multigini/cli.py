@@ -48,48 +48,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_columns(text: str) -> list[str]:
-    columns = [c.strip() for c in text.split(",") if c.strip()]
-    if not columns:
-        raise DataError("--columns must name at least one column")
-    return columns
+def _split(text: str) -> list[str]:
+    """The non-blank items of a comma-separated list."""
+    return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _parse_p(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
+def _number(text: str, what: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        raise DataError(f"invalid p value {text!r}") from None
-    if math.isnan(value) or value < 1.0:
-        raise DataError(f"p must be >= 1 (or inf), got {text}")
-    return value
+        raise DataError(f"invalid {what} {text!r}") from None
 
 
-def _parse_q(text: str) -> np.ndarray:
-    try:
-        q = np.array([float(v) for v in text.split(",") if v.strip()])
-    except ValueError:
-        raise DataError(f"invalid scale vector {text!r}") from None
-    if q.size == 0:
-        raise DataError("--q must list at least one factor")
-    return q
-
-
-def _threads(value: int | None) -> int:
-    if value is None:
-        return os.cpu_count() or 1
-    if value < 1:
-        raise DataError(f"--threads must be >= 1, got {value}")
-    return value
-
-
-def _load_sample(args) -> WeightedSample:
-    matrix, dropped = load_metric_columns(args.input, _parse_columns(args.columns))
+def _load_sample(args) -> tuple[list[str], WeightedSample]:
+    columns = _split(args.columns)
+    matrix, dropped = load_metric_columns(args.input, columns)
     if dropped:
         print(f"dropped rows: {dropped}", file=sys.stderr)
-    return WeightedSample(matrix)
+    return columns, WeightedSample(matrix)
 
 
 def _matrix_lines(matrix: np.ndarray) -> list[str]:
@@ -97,8 +73,7 @@ def _matrix_lines(matrix: np.ndarray) -> list[str]:
 
 
 def cmd_summary(args) -> int:
-    columns = _parse_columns(args.columns)
-    sample = _load_sample(args)
+    columns, sample = _load_sample(args)
     m = moments(sample)
     std = [math.sqrt(v) for v in m.variances]
     if args.format == "json":
@@ -116,8 +91,7 @@ def cmd_summary(args) -> int:
 
 
 def cmd_corr(args) -> int:
-    columns = _parse_columns(args.columns)
-    sample = _load_sample(args)
+    columns, sample = _load_sample(args)
     m = moments(sample)
     if args.format == "json":
         corr = correlation_json(m.correlation)
@@ -128,17 +102,16 @@ def cmd_corr(args) -> int:
 
 
 def cmd_gini(args) -> int:
-    columns = _parse_columns(args.columns)
-    sample = _load_sample(args)
+    columns, sample = _load_sample(args)
     result = gini_p(
         sample,
-        _parse_p(args.p),
+        _number(args.p, "p value"),
         method=_METHOD_FLAGS[args.method],
         estimator=args.estimator,
         pairs=args.pairs,
         seed=args.seed,
         exact_cap=args.exact_cap,
-        threads=_threads(args.threads),
+        threads=args.threads,
     )
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2))
@@ -161,14 +134,12 @@ def cmd_gini(args) -> int:
 
 
 def cmd_whiten(args) -> int:
-    sample = _load_sample(args)
+    _, sample = _load_sample(args)
     method = _METHOD_FLAGS[args.method]
     transform = fit_whitening(method, moments(sample))
     deviation = None
-    if args.check_scale_stability:
-        if args.q is None:
-            raise DataError("--check-scale-stability requires --q")
-        q = _parse_q(args.q)
+    if args.q is not None:
+        q = [_number(v, "scale factor") for v in _split(args.q)]
         deviation = scale_stability_check(method, sample, q)
     if args.format == "json":
         payload = {
@@ -190,13 +161,12 @@ def cmd_whiten(args) -> int:
 
 
 def cmd_report(args) -> int:
-    table, dropped = load_csv(
-        args.input, _parse_columns(args.columns), group_column=args.group_column
-    )
+    columns = _split(args.columns)
+    table, dropped = load_csv(args.input, columns, group_column=args.group_column)
     if dropped:
         print(f"dropped rows: {dropped}", file=sys.stderr)
     panels = panelize(table, min_group_size=args.min_group_size)
-    report = build_report(panels, p=_parse_p(args.p), metric_names=_parse_columns(args.columns))
+    report = build_report(panels, p=_number(args.p, "p value"), metric_names=columns)
     text = serialize_report(report, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -210,11 +180,8 @@ def cmd_verify(args) -> int:
     print(f"seed: {args.seed}")
     if args.tamper:
         print("tamper mode: one tolerance deliberately made impossible")
-    names = None if args.checks is None else [c.strip() for c in args.checks.split(",") if c.strip()]
-    try:
-        results = run_checks(seed=args.seed, tamper=args.tamper, names=names)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    names = None if args.checks is None else _split(args.checks)
+    results = run_checks(seed=args.seed, tamper=args.tamper, names=names)
     failures = 0
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -261,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gini.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
                         help="largest n the exact double sum (p != 1) accepts; exact p=1 is "
                              "O(n log n) and uncapped")
-    p_gini.add_argument("--threads", type=int, default=None,
+    p_gini.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="worker threads for the exact double sum, used only for p != 1 "
                              "(default: all cores; never changes printed values)")
     p_gini.add_argument("--format", choices=("table", "json"), default="table")
@@ -270,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_whiten = sub.add_parser("whiten", help="fit a whitening transform and print diagnostics")
     _add_csv_flags(p_whiten)
     p_whiten.add_argument("--method", choices=tuple(_METHOD_FLAGS), default="zca-cor")
-    p_whiten.add_argument("--check-scale-stability", action="store_true",
-                          help="also report the whitened-output deviation under --q rescaling")
-    p_whiten.add_argument("--q", default=None, help="comma-separated positive scale factors")
+    p_whiten.add_argument("--q", default=None,
+                          help="comma-separated positive scale factors; also report the "
+                               "whitened-output deviation under this rescaling")
     p_whiten.add_argument("--format", choices=("table", "json"), default="table")
     p_whiten.set_defaults(func=cmd_whiten)
 

@@ -293,6 +293,8 @@ def gini_p(
     fixed seed and reports a standard error alongside the estimate.
     """
     p = _validate_p(p)
+    if threads < 1:
+        raise DataError(f"threads must be >= 1, got {threads}")
     y, m_star = _whitened(sample, method)
     w = sample.weights
     normalizer = float(_pnorm_rows(m_star, p))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .gini import gini_1d, gini_1_decomposed, gini_p
+from .gini import _validate_p, gini_1d, gini_1_decomposed, gini_p
 from .sample import WeightedSample, moments
 
 POOLED_LABEL = "All"
@@ -200,8 +200,10 @@ def build_report(panels: PanelSet, p: float = 1.0, metric_names=None) -> Inequal
     """Per-group inequality rows plus pooled summary statistics.
 
     Rows are ordered by group name with the pooled row last.  Groups whose
-    covariance is singular get an error note instead of aborting.
+    covariance is singular get an error note instead of aborting; an
+    invalid p is a :class:`DataError` before any row.
     """
+    p = _validate_p(p)
     if panels.pooled is None:
         raise DataError("empty panel set")
     pooled_moments = moments(panels.pooled)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .gini import (
     _exact_mean_distance,
     _whitened,
@@ -301,7 +302,7 @@ def run_checks(
         known = {name for name, _ in CHECKS}
         unknown = [n for n in names if n not in known]
         if unknown:
-            raise ValueError(f"unknown check(s): {', '.join(unknown)}")
+            raise DataError(f"unknown check(s): {', '.join(unknown)}")
     results = []
     for name, func in CHECKS:
         if names is not None and name not in names:

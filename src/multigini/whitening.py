@@ -34,6 +34,12 @@ from .sample import (
 
 METHODS = ("zca", "pca", "cholesky", "zca_cor")
 
+# A fit whose whiteness residual max|W S W^T - I| exceeds this is rejected.
+# zca and pca lose whiteness to roundoff on components of widely different
+# scales (a 400x3 lognormal sample with one column scaled by 1e-8 gives 0.51);
+# cholesky and zca_cor stay near 1e-15 at any scale.
+WHITENESS_TOL = 1e-4
+
 # Whitened entries more negative than this (relative to the largest whitened
 # magnitude) trigger the negativity diagnostic.
 NEGATIVITY_RTOL = 1e-9
@@ -52,7 +58,7 @@ class WhiteningTransform:
     """A fitted whitening matrix with its method tag and diagnostics.
 
     ``whiteness_residual`` is max|W S W^T - I| for the covariance S the
-    transform was fitted on.
+    transform was fitted on; a fit is rejected above ``WHITENESS_TOL``.
     """
 
     method: str
@@ -123,6 +129,10 @@ def _spd_eigen(m: MomentSummary):
 def _make_transform(method: str, matrix: np.ndarray, m: MomentSummary) -> WhiteningTransform:
     wsw = matrix @ m.covariance @ matrix.T
     residual = float(np.abs(wsw - np.eye(matrix.shape[0])).max())
+    if residual > WHITENESS_TOL:
+        raise NumericalError(
+            f"{method} whitening is not white: residual {residual:.3e} exceeds {WHITENESS_TOL:g}"
+        )
     return WhiteningTransform(method=method, matrix=matrix, fitted_moments=m,
                               whiteness_residual=residual)
 
@@ -201,11 +211,8 @@ def scale_stability_check(method: str, sample: WeightedSample, q) -> float:
     Zero (up to roundoff) exactly when the whitening process is scale
     stable; generically large for pca.
     """
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if np.any(q <= 0) or not np.all(np.isfinite(q)):
-        raise DataError("scale factors must be strictly positive and finite")
-    base = fit_whitening(method, moments(sample))
     scaled_sample = sample.scaled(q)
+    base = fit_whitening(method, moments(sample))
     scaled = fit_whitening(method, moments(scaled_sample))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NegativityWarning)

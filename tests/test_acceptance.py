@@ -8,6 +8,7 @@ the per-criterion lines.
 
 import pytest
 
+from multigini import DataError
 from multigini.verify import CHECKS, run_checks
 
 CHECK_NAMES = [name for name, _ in CHECKS]
@@ -28,3 +29,8 @@ def test_criterion(name, results):
 
 def test_every_check_has_unique_name():
     assert len(set(CHECK_NAMES)) == len(CHECK_NAMES) == 11
+
+
+def test_unknown_check_name_is_data_error():
+    with pytest.raises(DataError, match="unknown check"):
+        run_checks(names=["nope"])

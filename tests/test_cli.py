@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from multigini import WeightedSample
 from multigini.synth import gen_spike_cube, pca_instability_fixture, write_sample_csv
 
 
@@ -138,7 +139,7 @@ class TestWhitenCommand:
     def test_pca_unstable_on_fixture(self, fixture_csv):
         proc = run_cli(
             "whiten", "--input", fixture_csv, "--columns", "a,b", "--method", "pca",
-            "--check-scale-stability", "--q", "2,1", "--format", "json",
+            "--q", "2,1", "--format", "json",
         )
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
@@ -148,7 +149,7 @@ class TestWhitenCommand:
     def test_stable_methods_on_fixture(self, fixture_csv, method):
         proc = run_cli(
             "whiten", "--input", fixture_csv, "--columns", "a,b", "--method", method,
-            "--check-scale-stability", "--q", "2,1", "--format", "json",
+            "--q", "2,1", "--format", "json",
         )
         payload = json.loads(proc.stdout)
         assert payload["scale_stability_deviation"] <= 1e-9
@@ -160,11 +161,21 @@ class TestWhitenCommand:
         assert "whitening matrix" in proc.stdout
         assert "whiteness residual" in proc.stdout
 
-    def test_scale_check_requires_q(self, fixture_csv):
-        proc = run_cli(
-            "whiten", "--input", fixture_csv, "--columns", "a,b", "--check-scale-stability"
-        )
+    def test_q_length_must_match_columns(self, spike_csv):
+        proc = run_cli("whiten", "--input", spike_csv, "--columns", "m1,m2,m3", "--q", "2,1")
         assert proc.returncode == 2
+        assert "expected 3 scale factors, got 2" in proc.stderr
+
+    def test_non_white_fit_is_numerical_error(self, tmp_path):
+        # one column in units 1e8 times smaller: zca loses whiteness to roundoff
+        points = np.random.default_rng(1).lognormal(0.0, 0.6, (400, 3))
+        path = tmp_path / "mixed.csv"
+        write_sample_csv(WeightedSample(points).scaled([1.0, 1e-8, 1.0]), path, ["a", "b", "c"])
+        args = ("whiten", "--input", str(path), "--columns", "a,b,c", "--method")
+        proc = run_cli(*args, "zca")
+        assert proc.returncode == 3
+        assert "not white" in proc.stderr
+        assert run_cli(*args, "zca-cor").returncode == 0
 
 
 class TestSummaryCorr:

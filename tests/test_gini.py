@@ -277,6 +277,11 @@ class TestGiniP:
         y, w = sample.points, sample.weights
         assert _exact_mean_distance(y, w, p, 1) == _exact_mean_distance(y, w, p, 4)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_must_be_positive(self, threads):
+        with pytest.raises(DataError, match="threads must be >= 1"):
+            gini_p(gen_spike_cube(0.3, 2), 2.0, threads=threads)
+
 
 class TestScaleFreeDegeneracy:
     """Degeneracy is judged per component, so no rescaling can trigger it."""
@@ -314,7 +319,8 @@ class TestInvarianceProperties:
     """Invariances the index promises, on random samples (exact, p = 1 and 2).
 
     Each case compares the value, and at p = 1 every component index, within
-    1e-12 relative; the worst seen over 600 random cases was 1.6e-14.
+    1e-12 relative; the worst seen over 600 random cases was 1.6e-14.  The
+    thread count is the exception: it must not change a single bit.
     """
 
     cases = dict(
@@ -359,6 +365,16 @@ class TestInvarianceProperties:
         sample = random_nonneg_sample(rng, d, n, weighted)
         q = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), d))
         self.assert_same_index(sample, sample.scaled(q), p, method)
+
+    @settings(max_examples=15, deadline=None)
+    @given(**{**cases, "n": st.integers(513, 1200), "p": st.sampled_from([1.5, 2.0, math.inf])})
+    def test_thread_count(self, seed, d, n, weighted, p, method):
+        # above 512 points the double sum has at least two chunks to share
+        rng = np.random.default_rng(seed)
+        sample = random_nonneg_sample(rng, d, n, weighted)
+        assert len(_exact_chunks(n)) > 1
+        values = {gini_p(sample, p, method=method, threads=t).value for t in (1, 2, 3)}
+        assert len(values) == 1
 
 
 class TestExactDoubleSum:

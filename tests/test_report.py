@@ -313,6 +313,11 @@ class TestBuildReport:
         with pytest.raises(DataError, match="metric names"):
             build_report(spike_panels(), metric_names=["a"])
 
+    @pytest.mark.parametrize("p", [0.5, float("nan")])
+    def test_invalid_p_rejected_before_any_row(self, p):
+        with pytest.raises(DataError, match="p must be >= 1"):
+            build_report(spike_panels(), p=p)
+
     def test_other_orders_have_no_weights(self):
         report = build_report(spike_panels(), p=2.0)
         row = report.rows[-1]

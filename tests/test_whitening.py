@@ -146,6 +146,17 @@ class TestFitErrors:
         m = moments(WeightedSample(points).scaled([1.0, 1e-6, 1.0]))
         assert fit_whitening(method, m).dim == 3
 
+    @pytest.mark.parametrize("fit", [fit_zca, fit_pca])
+    def test_non_white_fit_rejected(self, fit):
+        # at a 1e-8 scale the covariance is still positive definite, but
+        # roundoff leaves max|W S W^T - I| at 0.51
+        points = np.random.default_rng(1).lognormal(0.0, 0.6, (400, 3))
+        m = moments(WeightedSample(points).scaled([1.0, 1e-8, 1.0]))
+        with pytest.raises(NumericalError, match="not white"):
+            fit(m)
+        for stable in (fit_cholesky, fit_zca_cor):
+            assert stable(m).whiteness_residual <= 1e-14
+
     def test_zero_variance_names_component(self):
         m = moments(WeightedSample([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]]))
         with pytest.raises(NumericalError, match=r"component\(s\) \[0\]"):
