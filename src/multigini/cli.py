@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -41,7 +42,16 @@ _METHOD_FLAGS = {"zca": "zca", "pca": "pca", "cholesky": "cholesky", "zca-cor": 
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on bad usage; the contract here is 1."""
+    """argparse exits with code 2 on bad usage; the contract here is 1.
+
+    argparse reads only plain negative numbers such as ``-2`` as values;
+    here ``-inf``, ``-Infinity``, ``-nan`` and ``-1e3`` are values too, so
+    ``--p -inf`` reaches the library's check on p like ``--p=-inf`` does.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

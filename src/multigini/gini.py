@@ -144,14 +144,27 @@ def gini_1d(values, weights=None) -> float:
 def _mean_abs_difference(v: np.ndarray, w: np.ndarray) -> float:
     """sum_{a,b} w_a w_b |v_a - v_b| for weights summing to one.
 
-    One stable sort and prefix sums, O(n log n); ties contribute zero in any
-    order.
+    One sort and prefix sums, O(n log n).  When every weight is equal (an
+    O(n) test on the values) the values are sorted by ``np.sort`` and ``w``
+    is kept: permuting equal weights leaves the same array, and tied values
+    are equal, so the sorted array does not depend on the tie order (up to
+    the sign of zero entries, which only adds signed zero terms to the sums).
+    Other weights are carried along by a stable argsort.  Both routes feed
+    the same prefix sums, so they give bit-identical results.
     """
-    order = np.argsort(v, kind="stable")
+    if w[0] == w[-1] and np.all(w == w[0]):
+        vs, ws = np.sort(v), w
+    else:
+        order = np.argsort(v, kind="stable")
+        vs, ws = v[order], w[order]
+    return _sorted_mean_abs_difference(vs, ws)
+
+
+def _sorted_mean_abs_difference(vs: np.ndarray, ws: np.ndarray) -> float:
+    """``_mean_abs_difference`` of values sorted ascending, with their weights."""
     # shifting to start at zero costs nothing (pairwise differences are
     # shift invariant) and avoids cancellation for near-constant values
-    vs = v[order] - v[order[0]]
-    ws = w[order]
+    vs = vs - vs[0]
     cum_w = np.cumsum(ws)
     cum_wv = np.cumsum(ws * vs)
     # sum_{a<b} w_a w_b (v_b - v_a), doubled for the symmetric sum
@@ -173,9 +186,10 @@ def mahalanobis_norm_p(transform: WhiteningTransform, mean, p=2.0) -> float:
     return float(_pnorm_rows(transform.matrix @ mean, p))
 
 
-def _whitened(sample: WeightedSample, method: str) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened points y and whitened mean m*, fitted on the sample's own moments."""
-    m = moments(sample)
+def _whitened(
+    sample: WeightedSample, method: str, m: MomentSummary
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened points y and whitened mean m*, fitted on the sample's moments m."""
     transform = fit_whitening(method, m)
     return sample.points @ transform.matrix.T, transform.matrix @ m.mean
 
@@ -295,7 +309,26 @@ def gini_p(
     p = _validate_p(p)
     if threads < 1:
         raise DataError(f"threads must be >= 1, got {threads}")
-    y, m_star = _whitened(sample, method)
+    return _gini_p(
+        sample, moments(sample), p, method=method, estimator=estimator, pairs=pairs,
+        seed=seed, exact_cap=exact_cap, threads=threads,
+    )
+
+
+def _gini_p(
+    sample: WeightedSample,
+    m: MomentSummary,
+    p: float,
+    *,
+    method: str = "zca_cor",
+    estimator: str = "exact",
+    pairs: int = 1_000_000,
+    seed: int = 0,
+    exact_cap: int = DEFAULT_EXACT_CAP,
+    threads: int = 1,
+) -> GiniResult:
+    """``gini_p`` with the sample's moments m given, for a valid p and thread count."""
+    y, m_star = _whitened(sample, method, m)
     w = sample.weights
     normalizer = float(_pnorm_rows(m_star, p))
     if normalizer == 0.0:
@@ -354,7 +387,11 @@ def gini_1_decomposed(sample: WeightedSample, *, method: str = "zca_cor") -> Gin
     combined with weights |m*_i| / sum_j |m*_j|.  Unlike ``gini_p``, rejects
     a zero whitened component mean, whose one-dimensional index is undefined.
     """
-    result = gini_p(sample, 1.0, method=method)
+    return _decomposed(gini_p(sample, 1.0, method=method))
+
+
+def _decomposed(result: GiniResult) -> GiniResult:
+    """An exact p = 1 result, once its decomposition is checked to be defined."""
     if result.component_ginis is None:
         zero_mean = np.flatnonzero(result.weights == 0.0)
         raise NumericalError(

@@ -17,8 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .gini import _validate_p, gini_1d, gini_1_decomposed, gini_p
-from .sample import WeightedSample, moments
+from .gini import (
+    GiniResult,
+    _decomposed,
+    _gini_p,
+    _validate_p,
+    gini_1_decomposed,
+    gini_1d,
+    gini_p,
+)
+from .sample import MomentSummary, WeightedSample, moments
 
 POOLED_LABEL = "All"
 
@@ -161,7 +169,17 @@ def panelize(table: PanelTable, min_group_size: int = 2) -> PanelSet:
     return PanelSet(groups=groups, pooled=WeightedSample(table.values))
 
 
-def _row_for_sample(label: str, sample: WeightedSample, p: float) -> GroupRow:
+def _index(sample: WeightedSample, p: float, m: MomentSummary | None) -> GiniResult:
+    """A row's G_p (decomposed at p = 1), fitted on the sample's moments m when given."""
+    if m is None:
+        return gini_1_decomposed(sample) if p == 1.0 else gini_p(sample, p)
+    result = _gini_p(sample, m, p)
+    return _decomposed(result) if p == 1.0 else result
+
+
+def _row_for_sample(
+    label: str, sample: WeightedSample, p: float, m: MomentSummary | None = None
+) -> GroupRow:
     # one degenerate group must not kill the whole report: each part that
     # fails turns into an error note, the rest is kept
     metric_ginis = None
@@ -173,17 +191,11 @@ def _row_for_sample(label: str, sample: WeightedSample, p: float) -> GroupRow:
         )
     except NumericalError as exc:
         notes.append(str(exc))
-    if p == 1.0:
-        try:
-            result = gini_1_decomposed(sample)
-        except NumericalError as exc:
-            notes.append(str(exc))
-    else:
-        # above the exact cap gini_p raises DataError, which is one row's note too
-        try:
-            result = gini_p(sample, p)
-        except (NumericalError, DataError) as exc:
-            notes.append(str(exc))
+    # above the exact cap (p != 1) a DataError is raised, which is one row's note too
+    try:
+        result = _index(sample, p, m)
+    except (NumericalError, DataError) as exc:
+        notes.append(str(exc))
     weights = None if result is None else result.weights
     return GroupRow(
         group=label,
@@ -217,7 +229,7 @@ def build_report(panels: PanelSet, p: float = 1.0, metric_names=None) -> Inequal
         _row_for_sample(name, sample, p)
         for name, sample in sorted(panels.groups.items())
     ]
-    rows.append(_row_for_sample(POOLED_LABEL, panels.pooled, p))
+    rows.append(_row_for_sample(POOLED_LABEL, panels.pooled, p, pooled_moments))
     return InequalityReport(
         p=p,
         metrics=metric_names,

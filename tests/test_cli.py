@@ -61,6 +61,19 @@ class TestExitCodes:
         proc = run_cli("gini", "--input", spike_csv, "--columns", "m1,m2,m3", "--p", "0.5")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("command", ["gini", "report"])
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity"])
+    def test_negative_infinite_p_is_data_error(self, grouped_csv, command, value):
+        # a value that starts with "-" and is not a plain number is still a value
+        argv = [command, "--input", grouped_csv, "--columns", "cap,emp,rev"]
+        if command == "report":
+            argv += ["--group-column", "country"]
+        spaced = run_cli(*argv, "--p", value)
+        joined = run_cli(*argv, f"--p={value}")
+        assert spaced.returncode == joined.returncode == 2
+        assert spaced.stderr == joined.stderr
+        assert "p must be >= 1 (or inf), got -inf" in spaced.stderr
+
     def test_singular_covariance_is_numerical_error(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("data") / "flat.csv"
         path.write_text("name,group,a,b\nx,g,1,2\ny,g,2,4\nz,g,3,6\n", encoding="utf-8")

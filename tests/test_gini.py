@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multigini.gini as gini_module
@@ -20,7 +20,12 @@ from multigini import (
     mahalanobis_norm_p,
     moments,
 )
-from multigini.gini import _exact_chunks, _exact_mean_distance
+from multigini.gini import (
+    _exact_chunks,
+    _exact_mean_distance,
+    _mean_abs_difference,
+    _sorted_mean_abs_difference,
+)
 from multigini.synth import (
     brute_force_gini_1d,
     brute_force_gini_p,
@@ -95,6 +100,74 @@ class TestGini1d:
             gini_1d([1.0, 2.0], [0.5, -0.1])
         with pytest.raises(DataError):
             gini_1d([1.0, 2.0], [0.0, 0.0])
+
+
+def argsort_route(v, w):
+    """The stable argsort route, which unequal weights take, on any weights."""
+    order = np.argsort(v, kind="stable")
+    return _sorted_mean_abs_difference(v[order], w[order])
+
+
+@pytest.fixture
+def argsort_sizes(monkeypatch):
+    """Sizes of the arrays np.argsort is called on while the test runs."""
+    sizes = []
+    real = np.argsort
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(gini_module.np, "argsort", spy)
+    return sizes
+
+
+# heavy ties, both signed zeros, and a large offset with ties near it
+TIED_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e6, 1e6 + 0.5, 1e6 - 0.25])
+
+
+class TestSortRoutes:
+    """Equal weights skip the argsort; the value must not change by a bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(TIED_VALUES, min_size=1, max_size=40)
+        | st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+        weight=st.sampled_from([None, 2.0, 0.1, 3.0]),
+    )
+    @example(values=[5.0], weight=None)
+    @example(values=[0.0, -0.0], weight=None)
+    @example(values=[-0.0, 0.0], weight=2.0)
+    @example(values=[-0.0, 0.0, 0.0, -0.0, 1.0], weight=None)
+    def test_uniform_route_bit_identical_to_argsort_route(self, values, weight):
+        v = np.array(values)
+        w = np.full(v.size, 1.0 / v.size if weight is None else weight)
+        assert _mean_abs_difference(v, w).hex() == argsort_route(v, w).hex()
+
+    def test_equal_unnormalized_weights_take_sort_route(self, argsort_sizes):
+        x = np.array([4.0, 1.0, 4.0])
+        sample = WeightedSample(x[:, None], [2.0, 2.0, 2.0])
+        _mean_abs_difference(x, np.full(3, 2.0))
+        assert gini_1d(x, sample.weights) == gini_1d(x, [2.0, 2.0, 2.0]) == gini_1d(x)
+        gini_p(sample, 1.0)
+        assert x.size not in argsort_sizes
+        gini_1d(x, [2.0, 2.0, 2.5])
+        assert x.size in argsort_sizes
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_one_ulp_off_takes_argsort_route_and_matches_oracle(self, argsort_sizes, offset):
+        rng = np.random.default_rng(37)
+        for n in (2, 3, 17, 60):
+            values = offset + rng.integers(0, 5, n) * 0.5 + rng.random(n) * (n % 2)
+            weights = np.full(n, 1.0 / n)
+            k = int(rng.integers(0, n))
+            weights[k] = np.nextafter(weights[k], 1.0)
+            argsort_sizes.clear()
+            fast = _mean_abs_difference(values, weights) / (2.0 * abs(weights @ values))
+            assert argsort_sizes == [n]
+            slow = brute_force_gini_1d(values, weights)
+            # relative: at the 1e6 offset the index is ~1e-7
+            assert abs(fast - slow) <= 1e-12 * slow
 
 
 class TestMahalanobisNorm:

@@ -11,10 +11,15 @@ from multigini import (
     PanelTable,
     WeightedSample,
     build_report,
+    gini_1_decomposed,
+    gini_p,
     load_csv,
     panelize,
     serialize_report,
 )
+import multigini.gini
+import multigini.report
+import multigini.sample
 from multigini.gini import DEFAULT_EXACT_CAP
 from multigini.report import load_metric_columns, report_to_dict
 from multigini.synth import expand_to_rows, gen_spike_cube
@@ -308,6 +313,33 @@ class TestBuildReport:
             report.summary_std, np.sqrt(pooled.variances), atol=1e-14
         )
         np.testing.assert_allclose(report.correlation, pooled.correlation, atol=1e-14)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_moments_once_per_sample(self, monkeypatch, p):
+        rng = np.random.default_rng(66)
+        groups = [group for group in ("a", "b", "c") for _ in range(8)]
+        panels = panelize(table(groups, rng.lognormal(0, 0.5, (24, 3))))
+        seen = []
+
+        def counting(sample):
+            seen.append(id(sample))
+            return multigini.sample.moments(sample)
+
+        monkeypatch.setattr(multigini.report, "moments", counting)
+        monkeypatch.setattr(multigini.gini, "moments", counting)
+        build_report(panels, p=p)
+        samples = [*panels.groups.values(), panels.pooled]
+        assert sorted(seen) == sorted(id(sample) for sample in samples)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_pooled_row_is_the_public_index(self, p):
+        rng = np.random.default_rng(67)
+        groups = [group for group in ("a", "b") for _ in range(10)]
+        panels = panelize(table(groups, rng.lognormal(0, 0.5, (20, 3))))
+        pooled = build_report(panels, p=p).rows[-1]
+        expected = gini_1_decomposed(panels.pooled) if p == 1.0 else gini_p(panels.pooled, p)
+        assert pooled.g1 == expected.value
+        assert pooled.weights == (None if p != 1.0 else tuple(expected.weights.tolist()))
 
     def test_metric_name_count_checked(self):
         with pytest.raises(DataError, match="metric names"):
