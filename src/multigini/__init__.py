@@ -19,7 +19,7 @@ The ``multigini`` CLI exposes the same machinery on CSV panels, including a
 ``verify`` subcommand running the bundled fixture and property checks.
 """
 
-from .errors import DataError, NegativityWarning, NumericalError
+from .errors import DataError, NumericalError
 from .gini import (
     GiniResult,
     gaussian_g1_closed_form,
@@ -63,7 +63,6 @@ __all__ = [
     "GiniResult",
     "InequalityReport",
     "MomentSummary",
-    "NegativityWarning",
     "NumericalError",
     "PanelSet",
     "PanelTable",

@@ -179,8 +179,11 @@ def cmd_report(args) -> int:
     report = build_report(panels, p=_number(args.p, "p value"), metric_names=columns)
     text = serialize_report(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DataError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class DataError(ValueError):
@@ -10,12 +10,4 @@ class NumericalError(ArithmeticError):
 
     Raised for singular or indefinite covariance matrices, zero-mean
     components, and zero whitened-mean norms.
-    """
-
-
-class NegativityWarning(UserWarning):
-    """A non-negative sample was whitened to a point with negative entries.
-
-    The inequality index stays well defined, but its [0, 1] range guarantee
-    is forfeited.
     """

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .sample import WeightedSample, MomentSummary, moments
-from .whitening import WhiteningTransform, fit_whitening, fit_zca_cor, worst_negative
+from .whitening import WhiteningTransform, fit_whitening, fit_zca_cor
 
 # Size cap (n support points) of the exact double sum used for p != 1; above
 # this, pair sampling is the intended route.  ~2e8 pair evaluations per
@@ -49,7 +49,8 @@ class GiniResult:
     ``weights`` combine into ``value``) for exact p = 1 with every m*_i
     nonzero; ``std_error``, ``pair_count`` and ``seed`` only for the
     pair-sampling estimator.  ``worst_negative`` is the most negative
-    whitened entry when the negativity diagnostic fired.
+    whitened entry when the negativity diagnostic fired (see
+    :func:`worst_negative`), and ``negativity_warning`` says whether it did.
     """
 
     p: float
@@ -62,8 +63,11 @@ class GiniResult:
     pair_count: int | None = None
     seed: int | None = None
     std_error: float | None = None
-    negativity_warning: bool = False
     worst_negative: float | None = None
+
+    @property
+    def negativity_warning(self) -> bool:
+        return self.worst_negative is not None
 
     def to_dict(self) -> dict:
         """JSON-friendly representation with stable key order.
@@ -315,6 +319,24 @@ def gini_p(
     )
 
 
+# Whitened entries more negative than this (relative to the largest whitened
+# magnitude) trigger the negativity diagnostic.
+NEGATIVITY_RTOL = 1e-9
+
+
+def worst_negative(whitened: np.ndarray) -> float | None:
+    """Most negative whitened entry if below -NEGATIVITY_RTOL * max(1, max |entry|), else None.
+
+    The rule holds whatever the sign of the input: the [0, 1] range of G_p
+    is guaranteed when the whitened support is non-negative, and not
+    otherwise.
+    """
+    worst = float(whitened.min())
+    if worst < -NEGATIVITY_RTOL * max(1.0, float(np.abs(whitened).max())):
+        return worst
+    return None
+
+
 def _gini_p(
     sample: WeightedSample,
     m: MomentSummary,
@@ -356,12 +378,13 @@ def _gini_p(
     elif estimator == "pairs":
         if pairs < 1:
             raise DataError("pair count must be positive")
+        if seed < 0:
+            raise DataError(f"seed must be >= 0, got {seed}")
         mean_dist, se = _pair_sample_mean_distance(y, w, p, int(pairs), int(seed))
         pair_count, seed_used, std_error = int(pairs), int(seed), se / (2.0 * normalizer)
     else:
         raise DataError(f"unknown estimator {estimator!r}; choose 'exact' or 'pairs'")
 
-    worst = worst_negative(y)
     weights = np.abs(m_star) / np.abs(m_star).sum() if p == 1.0 else None
     return GiniResult(
         p=p,
@@ -374,8 +397,7 @@ def _gini_p(
         pair_count=pair_count,
         seed=seed_used,
         std_error=std_error,
-        negativity_warning=worst is not None,
-        worst_negative=worst,
+        worst_negative=worst_negative(y),
     )
 
 

@@ -10,6 +10,7 @@ statistics and the pooled correlation matrix.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -80,6 +81,8 @@ def _read_csv(path, metric_columns, positive, group_column=None, name_column=Non
     ``csv.DictReader``, a repeated header name means its last occurrence and
     blank lines are skipped.  A row is dropped and counted when a metric cell
     is missing, non-numeric or non-finite, or with ``positive`` not positive.
+    A byte that is not UTF-8, or a record the csv module rejects, anywhere in
+    the file is a DataError.
     Returns ``(matrix, labels, dropped)``; labels is None without a group column.
     """
     metric_columns = list(metric_columns)
@@ -90,24 +93,27 @@ def _read_csv(path, metric_columns, positive, group_column=None, name_column=Non
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with handle:
-        reader = csv.reader(handle)
-        index = {column: j for j, column in enumerate(next(reader, []))}
-        for column in [name_column, group_column, *metric_columns]:
-            if column is not None and column not in index:
-                raise DataError(f"missing column {column!r} in {path}")
-        metric_index = [index[column] for column in metric_columns]
-        group_index = index.get(group_column)
-        values, labels, unparsed = [], [], 0
-        for row in reader:
-            if not row:
-                continue
-            try:
-                values.extend([float(row[j]) for j in metric_index])
-            except (ValueError, IndexError):
-                unparsed += 1
-                continue
-            if group_index is not None:
-                labels.append(row[group_index].strip() if group_index < len(row) else "")
+        try:
+            reader = csv.reader(handle)
+            index = {column: j for j, column in enumerate(next(reader, []))}
+            for column in [name_column, group_column, *metric_columns]:
+                if column is not None and column not in index:
+                    raise DataError(f"missing column {column!r} in {path}")
+            metric_index = [index[column] for column in metric_columns]
+            group_index = index.get(group_column)
+            values, labels, unparsed = [], [], 0
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    values.extend([float(row[j]) for j in metric_index])
+                except (ValueError, IndexError):
+                    unparsed += 1
+                    continue
+                if group_index is not None:
+                    labels.append(row[group_index].strip() if group_index < len(row) else "")
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
     matrix = np.array(values, dtype=float).reshape(-1, len(metric_columns))
     keep = np.isfinite(matrix).all(axis=1)
     if positive:
@@ -331,15 +337,15 @@ def _format_table(report: InequalityReport) -> str:
 
 def _format_csv(report: InequalityReport) -> str:
     metrics = report.metrics
-    out = []
-    header = (
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
         ["group", "n"]
         + [f"gini_{m}" for m in metrics]
         + ["g1"]
         + [f"weight_{m}" for m in metrics]
         + ["negativity_warning", "error"]
     )
-    out.append(",".join(header))
     for row in report.rows:
         cells = [row.group, str(row.n)]
         for j in range(len(metrics)):
@@ -349,8 +355,8 @@ def _format_csv(report: InequalityReport) -> str:
             cells.append("" if row.weights is None else repr(row.weights[j]))
         cells.append("true" if row.negativity_warning else "false")
         cells.append(row.error or "")
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+        writer.writerow(cells)
+    return out.getvalue()
 
 
 def serialize_report(report: InequalityReport, format: str = "table") -> str:

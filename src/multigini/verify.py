@@ -298,6 +298,8 @@ def run_checks(
     seed: int = DEFAULT_SEED, tamper: bool = False, names: list[str] | None = None
 ) -> list[CheckResult]:
     """Run the named checks (all by default); deterministic for a fixed seed."""
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     if names is not None:
         known = {name for name, _ in CHECKS}
         unknown = [n for n in names if n not in known]

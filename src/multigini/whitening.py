@@ -17,12 +17,11 @@ leaves the whitened output unchanged.  pca is not.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NegativityWarning, NumericalError
+from .errors import DataError, NumericalError
 from .sample import (
     DEGENERACY_RTOL,
     MomentSummary,
@@ -39,19 +38,6 @@ METHODS = ("zca", "pca", "cholesky", "zca_cor")
 # scales (a 400x3 lognormal sample with one column scaled by 1e-8 gives 0.51);
 # cholesky and zca_cor stay near 1e-15 at any scale.
 WHITENESS_TOL = 1e-4
-
-# Whitened entries more negative than this (relative to the largest whitened
-# magnitude) trigger the negativity diagnostic.
-NEGATIVITY_RTOL = 1e-9
-
-
-def worst_negative(whitened: np.ndarray) -> float | None:
-    """Most negative whitened entry if below -NEGATIVITY_RTOL * max(1, max |entry|), else None."""
-    worst = float(whitened.min())
-    if worst < -NEGATIVITY_RTOL * max(1.0, float(np.abs(whitened).max())):
-        return worst
-    return None
-
 
 @dataclass(frozen=True)
 class WhiteningTransform:
@@ -73,25 +59,12 @@ class WhiteningTransform:
     def apply(self, sample: WeightedSample) -> WeightedSample:
         """Whiten a sample: map every support point by the fitted matrix.
 
-        Weights are unchanged.  If the input is non-negative but the
-        whitened points have negative entries beyond the diagnostic
-        tolerance, a :class:`NegativityWarning` is emitted (the transform
-        does not preserve the non-negative orthant for every correlation
-        structure).
+        Weights are unchanged.  The whitened points may have negative entries
+        even for a non-negative sample; ``gini_p`` reports that.
         """
         if sample.dim != self.dim:
             raise DataError(f"sample has dimension {sample.dim}, transform expects {self.dim}")
-        out = sample.points @ self.matrix.T
-        if np.all(sample.points >= 0.0):
-            worst = worst_negative(out)
-            if worst is not None:
-                warnings.warn(
-                    f"whitening a non-negative sample produced negative entries "
-                    f"(worst {worst:.3e})",
-                    NegativityWarning,
-                    stacklevel=2,
-                )
-        return WeightedSample(out, sample.weights)
+        return WeightedSample(sample.points @ self.matrix.T, sample.weights)
 
 
 def _nonsingular_correlation(m: MomentSummary, kind: str):
@@ -214,8 +187,6 @@ def scale_stability_check(method: str, sample: WeightedSample, q) -> float:
     scaled_sample = sample.scaled(q)
     base = fit_whitening(method, moments(sample))
     scaled = fit_whitening(method, moments(scaled_sample))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NegativityWarning)
-        y_base = base.apply(sample).points
-        y_scaled = scaled.apply(scaled_sample).points
+    y_base = base.apply(sample).points
+    y_scaled = scaled.apply(scaled_sample).points
     return float(np.abs(y_scaled - y_base).max())

@@ -34,3 +34,8 @@ def test_every_check_has_unique_name():
 def test_unknown_check_name_is_data_error():
     with pytest.raises(DataError, match="unknown check"):
         run_checks(names=["nope"])
+
+
+def test_negative_seed_is_data_error():
+    with pytest.raises(DataError, match="seed must be >= 0, got -20"):
+        run_checks(seed=-20)

@@ -74,6 +74,54 @@ class TestExitCodes:
         assert spaced.stderr == joined.stderr
         assert "p must be >= 1 (or inf), got -inf" in spaced.stderr
 
+    @pytest.mark.parametrize("command", ["gini", "report"])
+    @pytest.mark.parametrize("offset", ["first row", "after 8 KB"])
+    def test_non_utf8_input_is_data_error(self, tmp_path, command, offset):
+        # the bad byte may arrive in any chunk the reader decodes, not only the first
+        lines = ["name,group,a,b"]
+        if offset == "after 8 KB":
+            lines += [f"n{i},g{i % 2},{i + 1},{(i * 7) % 11 + 1}" for i in range(1000)]
+        lines += ["Soci\u00e9t\u00e9,g0,3,4", "x,g1,5,2", "y,g0,1,9"]
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+        assert (path.read_bytes().index(b"\xe9") > 8192) == (offset == "after 8 KB")
+        proc = run_cli(command, "--input", str(path), "--columns", "a,b")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("multigini:")]
+        assert errors == [line for line in proc.stderr.splitlines() if line]
+        assert len(errors) == 1 and errors[0].startswith("multigini: data error:")
+        assert str(path) in errors[0]
+
+    def test_unwritable_out_is_data_error(self, grouped_csv, tmp_path):
+        out = tmp_path / "missing-dir" / "report.json"
+        proc = run_cli(
+            "report", "--input", grouped_csv, "--columns", "cap,emp,rev",
+            "--group-column", "country", "--format", "json", "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            line for line in proc.stderr.splitlines() if line.startswith("multigini: data error:")
+        ]
+        assert len(proc.stderr.splitlines()) == 1
+        assert f"cannot write {out}" in proc.stderr
+        assert not out.exists()
+
+    def test_negative_pairs_seed_is_data_error(self, spike_csv):
+        proc = run_cli(
+            "gini", "--input", spike_csv, "--columns", "m1,m2,m3",
+            "--estimator", "pairs", "--pairs", "1000", "--seed", "-1",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "multigini: data error: seed must be >= 0, got -1\n"
+
+    def test_negative_verify_seed_is_data_error(self):
+        proc = run_cli("verify", "--seed", "-20")
+        assert proc.returncode == 2
+        assert proc.stderr == "multigini: data error: seed must be >= 0, got -20\n"
+        assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
+
     def test_singular_covariance_is_numerical_error(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("data") / "flat.csv"
         path.write_text("name,group,a,b\nx,g,1,2\ny,g,2,4\nz,g,3,6\n", encoding="utf-8")

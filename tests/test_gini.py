@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 import multigini.gini as gini_module
 from multigini import (
     DataError,
+    GiniResult,
     MomentSummary,
     NumericalError,
     WeightedSample,
     fit_whitening,
     fit_zca,
+    fit_zca_cor,
     gaussian_g1_closed_form,
     gini_1d,
     gini_1_decomposed,
@@ -313,6 +315,31 @@ class TestGiniP:
         assert decomposed.worst_negative == result.worst_negative
         assert gini_p(WeightedSample(pts), 2.0).worst_negative == result.worst_negative
 
+    def test_negativity_flag_on_signed_input(self):
+        # the rule reads the whitened support, whatever the sign of the input
+        rng = np.random.default_rng(41)
+        sample = WeightedSample(rng.standard_normal((200, 3)) + [3.0, 1.0, 2.0])
+        assert sample.points.min() < 0
+        whitened = fit_zca_cor(moments(sample)).apply(sample).points
+        assert whitened.min() < -1e-9 * np.abs(whitened).max()
+        for result in (
+            gini_p(sample, 1.0),
+            gini_p(sample, 2.0),
+            gini_p(sample, 2.0, estimator="pairs", pairs=1000, seed=3),
+        ):
+            assert result.negativity_warning
+            assert result.worst_negative == float(whitened.min())
+            assert result.to_dict()["negativity_warning"] is True
+
+    def test_negativity_flag_is_derived(self):
+        # the flag is read from worst_negative, so the two cannot disagree
+        fields = {"p": 1.0, "value": 0.5, "normalizer": 1.0, "method": "zca_cor",
+                  "estimator": "exact"}
+        assert not GiniResult(**fields).negativity_warning
+        assert GiniResult(**fields, worst_negative=-0.1).negativity_warning
+        with pytest.raises(TypeError):
+            GiniResult(**fields, negativity_warning=True)
+
     def test_weights_populated_only_for_p1(self):
         sample = gen_spike_cube(0.3, 2)
         assert gini_p(sample, 1.0).weights is not None
@@ -354,6 +381,10 @@ class TestGiniP:
     def test_threads_must_be_positive(self, threads):
         with pytest.raises(DataError, match="threads must be >= 1"):
             gini_p(gen_spike_cube(0.3, 2), 2.0, threads=threads)
+
+    def test_pairs_seed_must_be_non_negative(self):
+        with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+            gini_p(gen_spike_cube(0.3, 2), 2.0, estimator="pairs", pairs=100, seed=-1)
 
 
 class TestScaleFreeDegeneracy:

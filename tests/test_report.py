@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -116,6 +118,12 @@ class TestLoadCsv:
     def test_zero_surviving_rows(self, tmp_path):
         path = write(tmp_path / "data.csv", "name,group,rev\nA,x,-1\n")
         with pytest.raises(DataError, match="no usable rows"):
+            load_csv(path, ["rev"])
+
+    def test_malformed_csv_is_data_error(self, tmp_path):
+        # a field over the csv module's size limit is a read error, not a traceback
+        path = write(tmp_path / "data.csv", "name,group,rev\nA,x,5\nB,x," + "9" * 200_000 + "\n")
+        with pytest.raises(DataError, match="cannot read .*field larger than field limit"):
             load_csv(path, ["rev"])
 
     def test_quoted_fields(self, tmp_path):
@@ -373,6 +381,21 @@ class TestSerialize:
             "group,n,gini_a,gini_b,gini_c,g1,weight_a,weight_b,weight_c,"
             "negativity_warning,error"
         )
+
+    def test_csv_cells_quoted(self):
+        # a comma or quote in a label, and a note listing two components,
+        # each stay one cell
+        rng = np.random.default_rng(8)
+        labels = ["Korea, Republic of"] * 6 + ['say "hi"'] * 6 + ["flat"] * 4
+        values = [tuple(rng.uniform(1.0, 5.0, 3)) for _ in range(12)]
+        values += [(i + 1.0, 2.0, 3.0) for i in range(4)]
+        report = build_report(panelize(table(labels, values)))
+        rows = list(csv.reader(io.StringIO(serialize_report(report, "csv"))))
+        assert all(len(row) == len(rows[0]) for row in rows)
+        assert [row[0] for row in rows[1:]] == [row.group for row in report.rows]
+        assert [row[-1] for row in rows[1:]] == [row.error or "" for row in report.rows]
+        notes = {row[0]: row[-1] for row in rows[1:]}
+        assert "zero variance in component(s) [1, 2]" in notes["flat"]
 
     def test_json_round_trips_full_precision(self):
         report = build_report(spike_panels())

@@ -1,10 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from multigini import (
     DataError,
     MomentSummary,
-    NegativityWarning,
     NumericalError,
     WeightedSample,
     cholesky_lower,
@@ -17,7 +18,7 @@ from multigini import (
     scale_stability_check,
 )
 from multigini.synth import pca_instability_fixture
-from multigini.whitening import worst_negative
+from multigini.gini import worst_negative
 
 ALL_METHODS = ("zca", "pca", "cholesky", "zca_cor")
 
@@ -198,7 +199,8 @@ class TestApply:
         )
         s = WeightedSample(pts)
         t = fit_zca_cor(moments(s))
-        with pytest.warns(NegativityWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = t.apply(s)
         assert out.points.min() < 0
 
@@ -210,8 +212,6 @@ class TestApply:
         assert worst_negative(np.array([[-2e-8, 10.0]])) == -2e-8
 
     def test_bundled_generators_whiten_non_negative(self):
-        import warnings
-
         from multigini.synth import gen_coinflip_cube, gen_spike_cube
 
         samples = [
@@ -223,18 +223,16 @@ class TestApply:
         for sample in samples:
             t = fit_zca_cor(moments(sample))
             with warnings.catch_warnings():
-                warnings.simplefilter("error", NegativityWarning)
+                warnings.simplefilter("error")
                 out = t.apply(sample)
             assert out.points.min() >= -1e-9
 
     def test_no_warning_for_signed_input(self):
-        import warnings
-
         rng = np.random.default_rng(26)
         s = WeightedSample(rng.standard_normal((30, 2)))
         t = fit_zca_cor(moments(s))
         with warnings.catch_warnings():
-            warnings.simplefilter("error", NegativityWarning)
+            warnings.simplefilter("error")
             t.apply(s)
 
 
