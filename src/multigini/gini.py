@@ -145,18 +145,23 @@ def gini_1d(values, weights=None) -> float:
     return _mean_abs_difference(v, w) / (2.0 * abs(mean))
 
 
+def _equal_weights(w: np.ndarray) -> bool:
+    """Whether every weight equals the first, an O(n) test."""
+    return bool(w[0] == w[-1] and np.all(w == w[0]))
+
+
 def _mean_abs_difference(v: np.ndarray, w: np.ndarray) -> float:
     """sum_{a,b} w_a w_b |v_a - v_b| for weights summing to one.
 
-    One sort and prefix sums, O(n log n).  When every weight is equal (an
-    O(n) test on the values) the values are sorted by ``np.sort`` and ``w``
+    One sort and prefix sums, O(n log n).  When every weight is equal
+    (:func:`_equal_weights`) the values are sorted by ``np.sort`` and ``w``
     is kept: permuting equal weights leaves the same array, and tied values
     are equal, so the sorted array does not depend on the tie order (up to
     the sign of zero entries, which only adds signed zero terms to the sums).
     Other weights are carried along by a stable argsort.  Both routes feed
     the same prefix sums, so they give bit-identical results.
     """
-    if w[0] == w[-1] and np.all(w == w[0]):
+    if _equal_weights(w):
         vs, ws = np.sort(v), w
     else:
         order = np.argsort(v, kind="stable")
@@ -254,6 +259,36 @@ def _exact_mean_distance(y: np.ndarray, w: np.ndarray, p: float, threads: int) -
     return total
 
 
+def _equal_weight_searchsorted(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` for the CDF of n equal weights, u >= 0.
+
+    Guesses min(floor(u n), n - 1), then walks each index up while
+    cdf[idx] <= u and down while cdf[idx - 1] > u, until no index moves.
+    The result is the one index with cdf[idx - 1] <= u < cdf[idx] (the
+    number of entries <= u), which is what the binary search returns.  The
+    walks are correct for any non-decreasing ``cdf``; they are short when
+    the entries lie near (i + 1) / n, as the cumsum of equal weights does
+    (its rounding, about n eps, is far below the 1/n spacing).
+    """
+    n = cdf.size
+    # lower[i] = cdf[i - 1] and upper[i] = cdf[i]; the infinite sentinels
+    # stop both walks at the ends
+    edges = np.concatenate(([-np.inf], cdf, [np.inf]))
+    lower, upper = edges[:-1], edges[1:]
+    flat = u.reshape(-1)
+    idx = (flat * n).astype(np.intp)
+    np.minimum(idx, n - 1, out=idx)
+    moving = np.flatnonzero(upper[idx] <= flat)
+    while moving.size:
+        idx[moving] += 1
+        moving = moving[upper[idx[moving]] <= flat[moving]]
+    moving = np.flatnonzero(lower[idx] > flat)
+    while moving.size:
+        idx[moving] -= 1
+        moving = moving[lower[idx[moving]] > flat[moving]]
+    return idx.reshape(u.shape)
+
+
 def _pair_sample_mean_distance(
     y: np.ndarray, w: np.ndarray, p: float, pairs: int, seed: int
 ) -> tuple[float, float]:
@@ -261,19 +296,25 @@ def _pair_sample_mean_distance(
 
     One seeded generator produces the pair indices as a single deterministic
     sequence, consumed in fixed-size chunks and reduced in order, so the
-    estimate is bit-reproducible for a given seed.
+    estimate is bit-reproducible for a given seed.  Indices come from
+    inverting the weight CDF at uniform draws: by binary search, or for
+    equal weights by :func:`_equal_weight_searchsorted`, which returns the
+    same indices without one.
     """
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(w)
     cdf[-1] = 1.0
+    equal = _equal_weights(w)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < pairs:
         count = min(_PAIR_CHUNK, pairs - done)
         u = rng.random((2, count))
-        ia = np.searchsorted(cdf, u[0], side="right")
-        ib = np.searchsorted(cdf, u[1], side="right")
+        if equal:
+            ia, ib = _equal_weight_searchsorted(cdf, u)
+        else:
+            ia, ib = np.searchsorted(cdf, u, side="right")
         dist = _pnorm_rows(y[ia] - y[ib], p)
         total += float(dist.sum())
         total_sq += float((dist * dist).sum())
@@ -308,7 +349,9 @@ def gini_p(
     requires n <= exact_cap and is the only step ``threads`` parallelizes
     (the value does not depend on ``threads``).  estimator="pairs" draws
     ``pairs`` independent index pairs from the weight distribution with a
-    fixed seed and reports a standard error alongside the estimate.
+    fixed seed and reports a standard error alongside the estimate.  The
+    indices invert the weight CDF at one seeded uniform stream; equal weights
+    take a shortcut that returns the same indices, so the value is the same.
     """
     p = _validate_p(p)
     if threads < 1:

@@ -10,9 +10,9 @@ statistics and the pooled correlation matrix.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +88,9 @@ def _read_csv(path, metric_columns, positive, group_column=None, name_column=Non
     metric_columns = list(metric_columns)
     if not metric_columns:
         raise DataError("no metric columns given")
+    for j, column in enumerate(metric_columns):
+        if column in metric_columns[:j]:
+            raise DataError(f"metric column {column!r} listed twice")
     try:
         handle = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -335,17 +338,31 @@ def _format_table(report: InequalityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# cells that a CSV record must quote: a delimiter, a quote or a line break
+_CSV_QUOTED = re.compile('[,"\r\n]')
+
+
+def _csv_record(cells) -> str:
+    """One CSV line, quoting as ``csv.writer`` does, and also a cell with a bare "\\r".
+
+    Only Python 3.13's writer quotes "\\r" when the line terminator is "\\n";
+    unquoted, the cell splits its record when it is read back.
+    """
+    return ",".join(
+        '"' + cell.replace('"', '""') + '"' if _CSV_QUOTED.search(cell) else cell
+        for cell in cells
+    ) + "\n"
+
+
 def _format_csv(report: InequalityReport) -> str:
     metrics = report.metrics
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
+    lines = [_csv_record(
         ["group", "n"]
         + [f"gini_{m}" for m in metrics]
         + ["g1"]
         + [f"weight_{m}" for m in metrics]
         + ["negativity_warning", "error"]
-    )
+    )]
     for row in report.rows:
         cells = [row.group, str(row.n)]
         for j in range(len(metrics)):
@@ -355,8 +372,8 @@ def _format_csv(report: InequalityReport) -> str:
             cells.append("" if row.weights is None else repr(row.weights[j]))
         cells.append("true" if row.negativity_warning else "false")
         cells.append(row.error or "")
-        writer.writerow(cells)
-    return out.getvalue()
+        lines.append(_csv_record(cells))
+    return "".join(lines)
 
 
 def serialize_report(report: InequalityReport, format: str = "table") -> str:

@@ -93,6 +93,16 @@ class TestExitCodes:
         assert len(errors) == 1 and errors[0].startswith("multigini: data error:")
         assert str(path) in errors[0]
 
+    @pytest.mark.parametrize("command", ["gini", "report"])
+    def test_repeated_column_is_data_error(self, tmp_path, command):
+        # a column listed twice is the input's fault, not a singular correlation
+        path = tmp_path / "t.csv"
+        path.write_text("name,group,a,b\nx,g,1,2\ny,g,2,5\nz,g,4,3\n", encoding="utf-8")
+        proc = run_cli(command, "--input", str(path), "--columns", "a,b,a")
+        assert proc.returncode == 2
+        assert proc.stderr == "multigini: data error: metric column 'a' listed twice\n"
+        assert proc.stdout == ""
+
     def test_unwritable_out_is_data_error(self, grouped_csv, tmp_path):
         out = tmp_path / "missing-dir" / "report.json"
         proc = run_cli(

@@ -23,9 +23,13 @@ from multigini import (
     moments,
 )
 from multigini.gini import (
+    _PAIR_CHUNK,
+    _equal_weight_searchsorted,
     _exact_chunks,
     _exact_mean_distance,
     _mean_abs_difference,
+    _pair_sample_mean_distance,
+    _pnorm_rows,
     _sorted_mean_abs_difference,
 )
 from multigini.synth import (
@@ -170,6 +174,91 @@ class TestSortRoutes:
             slow = brute_force_gini_1d(values, weights)
             # relative: at the 1e6 offset the index is ~1e-7
             assert abs(fast - slow) <= 1e-12 * slow
+
+
+def searchsorted_pair_sampler(y, w, p, pairs, seed):
+    """The binary-search pair sampler that the equal-weight route replaced, kept as its reference."""
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum(w)
+    cdf[-1] = 1.0
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < pairs:
+        count = min(_PAIR_CHUNK, pairs - done)
+        u = rng.random((2, count))
+        ia = np.searchsorted(cdf, u[0], side="right")
+        ib = np.searchsorted(cdf, u[1], side="right")
+        dist = _pnorm_rows(y[ia] - y[ib], p)
+        total += float(dist.sum())
+        total_sq += float((dist * dist).sum())
+        done += count
+    mean = total / pairs
+    variance = max(total_sq / pairs - mean * mean, 0.0)
+    return mean, math.sqrt(variance / pairs)
+
+
+class TestIndexRoutes:
+    """Equal weights find pair indices without a binary search; no index may change."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 3000) | st.sampled_from([4096, 99_991, 199_000]),
+        raw=st.sampled_from([None, 1.0, 0.1, 3.0, 7e-300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, raw=None, seed=0)
+    @example(n=2, raw=None, seed=0)
+    @example(n=3, raw=0.1, seed=0)
+    @example(n=10**6, raw=None, seed=1)
+    @example(n=10**6, raw=3.0, seed=2)
+    def test_equal_weight_route_is_searchsorted(self, n, raw, seed):
+        w = WeightedSample(np.zeros(n), None if raw is None else np.full(n, raw)).weights
+        cdf = np.cumsum(w)
+        cdf[-1] = 1.0
+        u = np.concatenate((
+            [0.0],
+            cdf,
+            np.nextafter(cdf, -np.inf),
+            np.nextafter(cdf, np.inf),
+            np.random.default_rng(seed).random(1000),
+        ))
+        expected = np.searchsorted(cdf, u, side="right")
+        np.testing.assert_array_equal(_equal_weight_searchsorted(cdf, u), expected)
+        pairs = u[: 2 * (u.size // 2)].reshape(2, -1)
+        np.testing.assert_array_equal(
+            _equal_weight_searchsorted(cdf, pairs), expected[: pairs.size].reshape(2, -1)
+        )
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+    @pytest.mark.parametrize("pairs", [1, 777, _PAIR_CHUNK + 12_345])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_sampler_bit_identical_to_searchsorted_loop(self, p, pairs, weighted):
+        rng = np.random.default_rng(53)
+        sample = random_nonneg_sample(rng, 3, 5003, weighted=weighted)
+        y = sample.points - sample.points.mean(axis=0)
+        got = _pair_sample_mean_distance(y, sample.weights, p, pairs, 11)
+        expected = searchsorted_pair_sampler(y, sample.weights, p, pairs, 11)
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_only_unequal_weights_binary_search(self, monkeypatch, weighted):
+        calls = []
+
+        def spy(name, function):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np, "searchsorted", spy("searchsorted", np.searchsorted))
+        monkeypatch.setattr(
+            gini_module, "_equal_weight_searchsorted",
+            spy("equal", gini_module._equal_weight_searchsorted),
+        )
+        sample = random_nonneg_sample(np.random.default_rng(59), 2, 300, weighted=weighted)
+        gini_p(sample, 2.0, estimator="pairs", pairs=_PAIR_CHUNK + 1, seed=3)
+        assert calls == ["searchsorted" if weighted else "equal"] * 2
 
 
 class TestMahalanobisNorm:

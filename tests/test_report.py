@@ -191,6 +191,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="missing column 'c'"):
             load_metric_columns(path, ["a", "c"])
 
+    def test_repeated_metric_column_named(self, tmp_path):
+        path = write(tmp_path / "data.csv", "name,group,a,b\nA,x,1,2\nB,x,2,3\n")
+        with pytest.raises(DataError, match="metric column 'b' listed twice"):
+            load_metric_columns(path, ["b", "a", "b"])
+        with pytest.raises(DataError, match="metric column 'a' listed twice"):
+            load_csv(path, ["a", "a"])
+
 
 class TestPanelize:
     def table(self, sizes):
@@ -396,6 +403,26 @@ class TestSerialize:
         assert [row[-1] for row in rows[1:]] == [row.error or "" for row in report.rows]
         notes = {row[0]: row[-1] for row in rows[1:]}
         assert "zero variance in component(s) [1, 2]" in notes["flat"]
+
+    def test_csv_inner_carriage_return_round_trips(self):
+        # a bare "\r" inside a label must not split its record when read back
+        rng = np.random.default_rng(9)
+        labels = ["a\rb"] * 6 + ["plain"] * 6
+        values = [tuple(rng.uniform(1.0, 5.0, 3)) for _ in range(12)]
+        report = build_report(panelize(table(labels, values)))
+        text = serialize_report(report, "csv")
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert len(rows) == 1 + len(report.rows)
+        assert [row[0] for row in rows[1:]] == ["a\rb", "plain", "All"]
+        assert '\n"a\rb",' in text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet=st.sampled_from('ab ,"\n\u00e9'), max_size=6),
+                    min_size=2, max_size=5))
+    def test_csv_record_matches_csv_writer_without_carriage_return(self, cells):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow(cells)
+        assert multigini.report._csv_record(cells) == out.getvalue()
 
     def test_json_round_trips_full_precision(self):
         report = build_report(spike_panels())
