@@ -9,5 +9,6 @@ class NumericalError(ArithmeticError):
     """A computation is numerically undefined for this input.
 
     Raised for singular or indefinite covariance matrices, zero-mean
-    components, and zero whitened-mean norms.
+    components, zero whitened-mean norms, and orders p so large that
+    |x|^p over- or underflows.
     """

@@ -39,6 +39,11 @@ DEFAULT_EXACT_CAP = 20_000
 _EXACT_CHUNK_ELEMENTS = 1 << 18
 _PAIR_CHUNK = 1 << 18
 
+# At a large finite p, |x|^p overflows to inf (and inf times a zero weight is
+# nan) under this numpy error state, without a warning; ``_gini_p`` turns a
+# non-finite normalizer or distance sum into a NumericalError.
+_LARGE_P_QUIET = {"over": "ignore", "invalid": "ignore"}
+
 
 @dataclass(frozen=True)
 class GiniResult:
@@ -208,45 +213,59 @@ def _exact_chunks(n: int) -> list[slice]:
     return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
+def _pnorm_of_differences(operands, p: float, acc: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """||a - b||_p elementwise, from the (a_k, b_k) pair of each component in order.
+
+    Accumulates |a_k - b_k|^p (max_k for p = inf) into ``acc`` one component
+    at a time, in component order, with ``term`` as scratch of the same
+    shape, and returns ``acc``.  The exact double sum and the pair sampler
+    both use it, so both round a pair's distance the same way.
+    """
+    max_norm = math.isinf(p)
+    power = p not in (1.0, 2.0) and not max_norm
+    for k, (a, b) in enumerate(operands):
+        out = term if k else acc
+        np.subtract(a, b, out=out)
+        if p == 2.0:
+            np.multiply(out, out, out=out)
+        else:
+            np.abs(out, out=out)
+            if power:
+                np.power(out, p, out=out)
+        if k and max_norm:
+            np.maximum(acc, term, out=acc)
+        elif k:
+            acc += term
+    if p == 2.0:
+        np.sqrt(acc, out=acc)
+    elif power:
+        np.power(acc, 1.0 / p, out=acc)
+    return acc
+
+
 def _exact_mean_distance(y: np.ndarray, w: np.ndarray, p: float, threads: int) -> float:
     """sum_{a,b} w_a w_b ||y_a - y_b||_p, chunked with a fixed reduction order.
 
     Each row chunk a in [i0, i1) is paired only with columns b >= i0: the
     diagonal block in full, and the block to its right twice (the sum is
-    symmetric).  Distances are accumulated one component at a time on 2-D
-    arrays.  Chunk boundaries depend only on n, and partial sums are reduced
+    symmetric).  Distances come from :func:`_pnorm_of_differences` on 2-D
+    blocks.  Chunk boundaries depend only on n, and partial sums are reduced
     in chunk order, so the result is identical for any thread count.
     """
     n = y.shape[0]
     columns = np.ascontiguousarray(y.T)
     chunks = _exact_chunks(n)
-    max_norm = math.isinf(p)
-    power = p not in (1.0, 2.0) and not max_norm
 
     def part(sl: slice) -> float:
-        # acc holds sum_k |y_ak - y_bk|^p (max_k for p = inf) for a in sl, b >= sl.start
+        # distances for a in sl, b >= sl.start
         acc = np.empty((sl.stop - sl.start, n - sl.start))
-        term = np.empty_like(acc)
-        for k, col in enumerate(columns):
-            out = term if k else acc
-            np.subtract(col[sl, None], col[None, sl.start:], out=out)
-            if p == 2.0:
-                np.multiply(out, out, out=out)
-            else:
-                np.abs(out, out=out)
-                if power:
-                    np.power(out, p, out=out)
-            if k and max_norm:
-                np.maximum(acc, term, out=acc)
-            elif k:
-                acc += term
-        if p == 2.0:
-            np.sqrt(acc, out=acc)
-        elif power:
-            np.power(acc, 1.0 / p, out=acc)
+        blocks = ((col[sl, None], col[None, sl.start:]) for col in columns)
         coef = w[sl.start:].copy()
         coef[sl.stop - sl.start:] *= 2.0
-        return float(w[sl] @ (acc @ coef))
+        # in the worker's own error state (threads do not inherit it)
+        with np.errstate(**_LARGE_P_QUIET):
+            dist = _pnorm_of_differences(blocks, p, acc, np.empty_like(acc))
+            return float(w[sl] @ (dist @ coef))
 
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -299,12 +318,17 @@ def _pair_sample_mean_distance(
     estimate is bit-reproducible for a given seed.  Indices come from
     inverting the weight CDF at uniform draws: by binary search, or for
     equal weights by :func:`_equal_weight_searchsorted`, which returns the
-    same indices without one.
+    same indices without one.  Each chunk gathers one whitened column at a
+    time and hands the differences to :func:`_pnorm_of_differences`, the
+    exact double sum's per-pair arithmetic.
     """
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(w)
     cdf[-1] = 1.0
     equal = _equal_weights(w)
+    columns = np.ascontiguousarray(y.T)
+    acc = np.empty(min(_PAIR_CHUNK, pairs))
+    term = np.empty_like(acc)
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -315,7 +339,9 @@ def _pair_sample_mean_distance(
             ia, ib = _equal_weight_searchsorted(cdf, u)
         else:
             ia, ib = np.searchsorted(cdf, u, side="right")
-        dist = _pnorm_rows(y[ia] - y[ib], p)
+        gathered = ((col[ia], col[ib]) for col in columns)
+        with np.errstate(**_LARGE_P_QUIET):
+            dist = _pnorm_of_differences(gathered, p, acc[:count], term[:count])
         total += float(dist.sum())
         total_sq += float((dist * dist).sum())
         done += count
@@ -352,10 +378,25 @@ def gini_p(
     fixed seed and reports a standard error alongside the estimate.  The
     indices invert the weight CDF at one seeded uniform stream; equal weights
     take a shortcut that returns the same indices, so the value is the same.
+    Both estimators compute a pair's distance one whitened component at a
+    time, in component order.
+
+    Arguments are checked before any moment or fit, so a bad ``estimator``,
+    ``pairs`` or ``seed`` is a :class:`DataError` even on a singular sample.
+    Raises :class:`NumericalError` when the whitened mean is zero, or when p
+    is so large that |x|^p over- or underflows (the normalizer is zero or
+    infinite for a nonzero whitened mean, or the distance sum is not finite).
     """
     p = _validate_p(p)
     if threads < 1:
         raise DataError(f"threads must be >= 1, got {threads}")
+    if estimator == "pairs":
+        if pairs < 1:
+            raise DataError("pair count must be positive")
+        if seed < 0:
+            raise DataError(f"seed must be >= 0, got {seed}")
+    elif estimator != "exact":
+        raise DataError(f"unknown estimator {estimator!r}; choose 'exact' or 'pairs'")
     return _gini_p(
         sample, moments(sample), p, method=method, estimator=estimator, pairs=pairs,
         seed=seed, exact_cap=exact_cap, threads=threads,
@@ -380,6 +421,14 @@ def worst_negative(whitened: np.ndarray) -> float | None:
     return None
 
 
+def _large_p_error(p: float) -> NumericalError:
+    """The error for a finite p so large that |x|^p over- or underflows."""
+    return NumericalError(
+        f"p = {p:g} is too large: |x|^p overflows or underflows in floating point; "
+        "use p = inf (--p inf) for the max norm"
+    )
+
+
 def _gini_p(
     sample: WeightedSample,
     m: MomentSummary,
@@ -392,12 +441,15 @@ def _gini_p(
     exact_cap: int = DEFAULT_EXACT_CAP,
     threads: int = 1,
 ) -> GiniResult:
-    """``gini_p`` with the sample's moments m given, for a valid p and thread count."""
+    """``gini_p`` with the sample's moments m given, for arguments ``gini_p`` accepts."""
     y, m_star = _whitened(sample, method, m)
     w = sample.weights
-    normalizer = float(_pnorm_rows(m_star, p))
-    if normalizer == 0.0:
+    with np.errstate(**_LARGE_P_QUIET):
+        normalizer = float(_pnorm_rows(m_star, p))
+    if not np.any(m_star):
         raise NumericalError("whitened mean has zero p-norm")
+    if not 0.0 < normalizer < math.inf:
+        raise _large_p_error(p)
 
     component_ginis = None
     if estimator == "exact":
@@ -418,15 +470,11 @@ def _gini_p(
         else:
             mean_dist = _exact_mean_distance(y, w, p, threads)
         pair_count = seed_used = std_error = None
-    elif estimator == "pairs":
-        if pairs < 1:
-            raise DataError("pair count must be positive")
-        if seed < 0:
-            raise DataError(f"seed must be >= 0, got {seed}")
+    else:
         mean_dist, se = _pair_sample_mean_distance(y, w, p, int(pairs), int(seed))
         pair_count, seed_used, std_error = int(pairs), int(seed), se / (2.0 * normalizer)
-    else:
-        raise DataError(f"unknown estimator {estimator!r}; choose 'exact' or 'pairs'")
+    if not math.isfinite(mean_dist):
+        raise _large_p_error(p)
 
     weights = np.abs(m_star) / np.abs(m_star).sum() if p == 1.0 else None
     return GiniResult(

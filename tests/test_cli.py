@@ -126,6 +126,38 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr == "multigini: data error: seed must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--pairs", "0", "pair count must be positive"), ("--seed", "-3", "seed must be >= 0, got -3")],
+    )
+    def test_pair_arguments_checked_before_the_fit(self, tmp_path, flag, value, message):
+        # the sample is singular too, but a bad argument is reported first
+        path = tmp_path / "flat.csv"
+        path.write_text("name,group,a,b\nx,g,1,2\ny,g,2,4\nz,g,3,6\n", encoding="utf-8")
+        args = ("gini", "--input", str(path), "--columns", "a,b", "--p", "2", "--estimator", "pairs")
+        assert run_cli(*args).returncode == 3
+        proc = run_cli(*args, flag, value)
+        assert proc.returncode == 2
+        assert proc.stderr == f"multigini: data error: {message}\n"
+
+    @pytest.mark.parametrize("estimator", ["exact", "pairs"])
+    @pytest.mark.parametrize("p", ["1000", "1e6"])
+    def test_large_p_is_numerical_error(self, tmp_path, estimator, p):
+        rng = np.random.default_rng(83)
+        points = rng.lognormal(0.0, 0.5, (200, 3))
+        points[0] *= 40.0
+        path = tmp_path / "outlier.csv"
+        write_sample_csv(WeightedSample(points), path, ["a", "b", "c"])
+        proc = run_cli(
+            "gini", "--input", str(path), "--columns", "a,b,c", "--p", p,
+            "--estimator", estimator, "--pairs", "20000", "--format", "json",
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"multigini: numerical error: p = {float(p):g} is too large")
+        assert "--p inf" in proc.stderr
+
     def test_negative_verify_seed_is_data_error(self):
         proc = run_cli("verify", "--seed", "-20")
         assert proc.returncode == 2

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -176,8 +178,16 @@ class TestSortRoutes:
             assert abs(fast - slow) <= 1e-12 * slow
 
 
-def searchsorted_pair_sampler(y, w, p, pairs, seed):
-    """The binary-search pair sampler that the equal-weight route replaced, kept as its reference."""
+def row_pnorm_distance(ya, yb, p):
+    return _pnorm_rows(ya - yb, p)
+
+
+def searchsorted_pair_sampler(y, w, p, pairs, seed, distance=row_pnorm_distance):
+    """The binary-search pair sampler that the equal-weight route replaced, kept as its reference.
+
+    ``distance(y[ia], y[ib], p)`` gives the chunk's pair distances; by
+    default numpy's row p-norm, as the sampler computed them at the time.
+    """
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(w)
     cdf[-1] = 1.0
@@ -185,11 +195,11 @@ def searchsorted_pair_sampler(y, w, p, pairs, seed):
     total_sq = 0.0
     done = 0
     while done < pairs:
-        count = min(_PAIR_CHUNK, pairs - done)
+        count = min(gini_module._PAIR_CHUNK, pairs - done)
         u = rng.random((2, count))
         ia = np.searchsorted(cdf, u[0], side="right")
         ib = np.searchsorted(cdf, u[1], side="right")
-        dist = _pnorm_rows(y[ia] - y[ib], p)
+        dist = distance(y[ia], y[ib], p)
         total += float(dist.sum())
         total_sq += float((dist * dist).sum())
         done += count
@@ -259,6 +269,81 @@ class TestIndexRoutes:
         sample = random_nonneg_sample(np.random.default_rng(59), 2, 300, weighted=weighted)
         gini_p(sample, 2.0, estimator="pairs", pairs=_PAIR_CHUNK + 1, seed=3)
         assert calls == ["searchsorted" if weighted else "equal"] * 2
+
+
+def component_order_distance(ya, yb, p):
+    """Row p-norms of ya - yb, adding the |diff_k|^p terms in component order.
+
+    Only elementwise operations, so no numpy row reduction decides the order.
+    """
+    dist = None
+    for k in range(ya.shape[1]):
+        diff = ya[:, k] - yb[:, k]
+        if p == 2.0:
+            term = diff * diff
+        elif p == 1.0 or math.isinf(p):
+            term = np.abs(diff)
+        else:
+            term = np.abs(diff) ** p
+        if dist is None:
+            dist = term
+        elif math.isinf(p):
+            dist = np.maximum(dist, term)
+        else:
+            dist = dist + term
+    if p == 2.0:
+        return np.sqrt(dist)
+    if p == 1.0 or math.isinf(p):
+        return dist
+    return dist ** (1.0 / p)
+
+
+def fsum_pair_oracle(y, w, p, pairs, seed):
+    """Mean and SE of the sampled pair distances, each distance and sum by math.fsum."""
+    cdf = np.cumsum(w)
+    cdf[-1] = 1.0
+    u = np.random.default_rng(seed).random((2, pairs))
+    ia, ib = np.searchsorted(cdf, u, side="right")
+    dists = []
+    for a, b in zip(y[ia].tolist(), y[ib].tolist()):
+        diffs = [abs(x - z) for x, z in zip(a, b)]
+        dists.append(max(diffs) if math.isinf(p) else math.fsum(v**p for v in diffs) ** (1.0 / p))
+    mean = math.fsum(dists) / pairs
+    variance = max(math.fsum(v * v for v in dists) / pairs - mean * mean, 0.0)
+    return mean, math.sqrt(variance / pairs)
+
+
+class TestPairDistanceKernel:
+    """The sampler computes each pair's distance like the exact sum: component by component."""
+
+    # d >= 8 included: numpy sums a row of 8 or more pairwise, the kernel never does
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 12])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bit_identical_to_component_order_sum(self, d, p, weighted, monkeypatch):
+        monkeypatch.setattr(gini_module, "_PAIR_CHUNK", 1 << 12)
+        rng = np.random.default_rng(61 + d)
+        sample = random_nonneg_sample(rng, d, 4001, weighted=weighted)
+        y = sample.points - sample.points.mean(axis=0)
+        # chunk sums hide a pair's last bit, so single pairs are compared too
+        runs = [(3 * (1 << 12) + 77, 13)] + [(1, seed) for seed in range(64)]
+        for pairs, seed in runs:
+            got = _pair_sample_mean_distance(y, sample.weights, p, pairs, seed)
+            expected = searchsorted_pair_sampler(
+                y, sample.weights, p, pairs, seed, component_order_distance
+            )
+            assert [v.hex() for v in got] == [v.hex() for v in expected], (pairs, seed)
+
+    @pytest.mark.parametrize("d", [8, 12])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_wide_samples_match_fsum_oracle(self, d, p):
+        rng = np.random.default_rng(67 + d)
+        sample = random_nonneg_sample(rng, d, 3001)
+        y = sample.points - sample.points.mean(axis=0)
+        mean, se = _pair_sample_mean_distance(y, sample.weights, p, 20_000, 17)
+        oracle_mean, oracle_se = fsum_pair_oracle(y, sample.weights, p, 20_000, 17)
+        assert abs(mean - oracle_mean) <= 1e-14 * oracle_mean
+        assert abs(se - oracle_se) <= 1e-14 * oracle_se
 
 
 class TestMahalanobisNorm:
@@ -474,6 +559,60 @@ class TestGiniP:
     def test_pairs_seed_must_be_non_negative(self):
         with pytest.raises(DataError, match="seed must be >= 0, got -1"):
             gini_p(gen_spike_cube(0.3, 2), 2.0, estimator="pairs", pairs=100, seed=-1)
+
+
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            ({"estimator": "pairs", "pairs": 0}, "pair count must be positive"),
+            ({"estimator": "pairs", "seed": -3}, "seed must be >= 0, got -3"),
+            ({"estimator": "bootstrap"}, "unknown estimator 'bootstrap'"),
+        ],
+    )
+    def test_argument_errors_come_before_numerical_ones(self, arguments, message):
+        singular = WeightedSample([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+        with pytest.raises(NumericalError, match="singular"):
+            gini_p(singular, 2.0)
+        with pytest.raises(DataError, match=message):
+            gini_p(singular, 2.0, **arguments)
+
+
+def outlier_sample():
+    """Lognormal rows plus one far outlier: some whitened differences exceed 11."""
+    rng = np.random.default_rng(73)
+    points = rng.lognormal(0.0, 0.5, (200, 3))
+    points[0] *= 40.0
+    return WeightedSample(points)
+
+
+class TestLargeP:
+    """|x|^p over- or underflows at large finite p: an error, never inf, nan or a warning."""
+
+    @pytest.mark.parametrize("p", [300.0, 1000.0, 1e6])
+    @pytest.mark.parametrize("estimator", ["exact", "pairs"])
+    def test_large_p_is_numerical_error(self, p, estimator):
+        sample = outlier_sample()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=re.escape(f"p = {p:g} is too large") + ".*--p inf"):
+                gini_p(sample, p, estimator=estimator, pairs=20_000, threads=2)
+
+    @pytest.mark.parametrize("sigma, small", [(1.2, True), (0.3, False)])
+    def test_normalizer_underflow_or_overflow_is_not_a_zero_mean(self, sigma, small):
+        sample = WeightedSample(np.random.default_rng(79).lognormal(0.0, sigma, (300, 2)))
+        m = moments(sample)
+        m_star = fit_whitening("zca_cor", m).matrix @ m.mean
+        # |m*_i|^p underflows to 0 when every |m*_i| < 1, and overflows otherwise
+        assert np.all(np.abs(m_star) < 1.0) == small
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="too large"):
+                gini_p(sample, 1e6)
+
+    def test_p_50_matches_brute_force(self):
+        sample = outlier_sample()
+        transform = fit_whitening("zca_cor", moments(sample))
+        assert abs(gini_p(sample, 50.0).value - brute_force_gini_p(sample, 50.0, transform)) <= 1e-12
 
 
 class TestScaleFreeDegeneracy:
