@@ -19,7 +19,6 @@ an identity at finite n rather than an approximation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,13 +190,24 @@ def mahalanobis_norm_p(transform: WhiteningTransform, mean, p=2.0) -> float:
 
     For p = 2 the value is sqrt(m^T S^{-1} m) and does not depend on which
     whitening matrix is used; for other p it does, which is why the scale
-    stable transforms are the meaningful choices.
+    stable transforms are the meaningful choices.  Raises
+    :class:`NumericalError` when p is so large that the norm of a nonzero
+    whitened mean over- or underflows.
     """
     p = _validate_p(p)
     mean = np.asarray(mean, dtype=float).reshape(-1)
     if mean.shape[0] != transform.dim:
         raise DataError(f"mean has length {mean.shape[0]}, transform expects {transform.dim}")
-    return float(_pnorm_rows(transform.matrix @ mean, p))
+    return _whitened_mean_norm(transform.matrix @ mean, p)
+
+
+def _whitened_mean_norm(m_star: np.ndarray, p: float) -> float:
+    """||m*||_p, or the large-p NumericalError when it is 0 or inf for a nonzero m*."""
+    with np.errstate(**_LARGE_P_QUIET):
+        norm = float(_pnorm_rows(m_star, p))
+    if np.any(m_star) and not 0.0 < norm < math.inf:
+        raise _large_p_error(p)
+    return norm
 
 
 def _whitened(
@@ -268,6 +278,9 @@ def _exact_mean_distance(y: np.ndarray, w: np.ndarray, p: float, threads: int) -
             return float(w[sl] @ (dist @ coef))
 
     if threads > 1 and len(chunks) > 1:
+        # imported here, so that commands without a parallel double sum skip it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(part, chunks))
     else:
@@ -444,12 +457,9 @@ def _gini_p(
     """``gini_p`` with the sample's moments m given, for arguments ``gini_p`` accepts."""
     y, m_star = _whitened(sample, method, m)
     w = sample.weights
-    with np.errstate(**_LARGE_P_QUIET):
-        normalizer = float(_pnorm_rows(m_star, p))
     if not np.any(m_star):
         raise NumericalError("whitened mean has zero p-norm")
-    if not 0.0 < normalizer < math.inf:
-        raise _large_p_error(p)
+    normalizer = _whitened_mean_norm(m_star, p)
 
     component_ginis = None
     if estimator == "exact":

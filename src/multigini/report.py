@@ -13,7 +13,9 @@ import csv
 import json
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,6 +32,9 @@ from .gini import (
 from .sample import MomentSummary, WeightedSample, moments
 
 POOLED_LABEL = "All"
+
+# _read_csv converts metric cells to floats in batches of this many cells
+_CELL_BATCH = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,8 @@ def _read_csv(path, metric_columns, positive, group_column=None, name_column=Non
     is missing, non-numeric or non-finite, or with ``positive`` not positive.
     A byte that is not UTF-8, or a record the csv module rejects, anywhere in
     the file is a DataError.
+    Metric cells are collected as text and converted by ``float`` in batches
+    of ``_CELL_BATCH`` cells into a typed buffer of 8 bytes per value.
     Returns ``(matrix, labels, dropped)``; labels is None without a group column.
     """
     metric_columns = list(metric_columns)
@@ -95,6 +102,8 @@ def _read_csv(path, metric_columns, positive, group_column=None, name_column=Non
         handle = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    d = len(metric_columns)
+    values = array("d")
     with handle:
         try:
             reader = csv.reader(handle)
@@ -103,29 +112,56 @@ def _read_csv(path, metric_columns, positive, group_column=None, name_column=Non
                 if column is not None and column not in index:
                     raise DataError(f"missing column {column!r} in {path}")
             metric_index = [index[column] for column in metric_columns]
+            cells_of = itemgetter(*metric_index)
+            if d == 1:
+                # one index returns a str, whose characters += would add
+                cells_of = lambda row, cell=cells_of: (cell(row),)
             group_index = index.get(group_column)
-            values, labels, unparsed = [], [], 0
+            cells, labels, unparsed, unparsed_rows = [], [], 0, set()
             for row in reader:
-                if not row:
-                    continue
                 try:
-                    values.extend([float(row[j]) for j in metric_index])
-                except (ValueError, IndexError):
-                    unparsed += 1
+                    cells += cells_of(row)
+                except IndexError:
+                    # a short row; a blank line is skipped, not counted
+                    unparsed += bool(row)
                     continue
                 if group_index is not None:
                     labels.append(row[group_index].strip() if group_index < len(row) else "")
+                if len(cells) >= _CELL_BATCH:
+                    _convert_cells(cells, values, d, unparsed_rows)
+                    cells.clear()
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
-    matrix = np.array(values, dtype=float).reshape(-1, len(metric_columns))
+    _convert_cells(cells, values, d, unparsed_rows)
+    matrix = np.frombuffer(values).reshape(-1, d)
     keep = np.isfinite(matrix).all(axis=1)
     if positive:
         keep &= (matrix > 0.0).all(axis=1)
-    dropped = unparsed + int(keep.size - np.count_nonzero(keep))
+    unparsed += len(unparsed_rows)
+    # a row with a rejected cell holds a nan, so keep is False there too
+    unusable = int(keep.size - np.count_nonzero(keep)) - len(unparsed_rows)
+    dropped = unparsed + unusable
     if not keep.any():
         raise DataError(f"no usable rows in {path} ({dropped} dropped)")
     labels = None if group_index is None else np.array(labels, dtype=object)[keep]
     return matrix[keep], labels, dropped
+
+
+def _convert_cells(cells, values: array, d: int, unparsed_rows: set) -> None:
+    """Append ``float`` of each cell to ``values``; a rejected cell appends nan.
+
+    The row (position // d) of a rejected cell goes into ``unparsed_rows``.
+    On the ValueError, CPython's ``array.extend`` keeps the items it appended
+    before it, so the conversion resumes on the same iterator after the cell.
+    """
+    converted = map(float, cells)
+    while True:
+        try:
+            values.extend(converted)
+            return
+        except ValueError:
+            unparsed_rows.add(len(values) // d)
+            values.append(math.nan)
 
 
 def load_csv(path, metric_columns, group_column="group", name_column=None):

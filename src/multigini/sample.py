@@ -8,7 +8,6 @@ what makes the exact pairwise identities downstream hold at finite n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +17,14 @@ from .errors import DataError, NumericalError
 # Scale-free degeneracy threshold: a variance, pivot or eigenvalue is treated
 # as zero when it does not exceed this fraction of the magnitude it is tested against.
 DEGENERACY_RTOL = 1e-12
+
+# _exact_column_sums works through a matrix in blocks of about this many
+# entries, which keeps its temporaries in cache.  A block must have fewer than
+# 2^26 rows for its float64 bin sums to stay exact.
+_SUM_BLOCK_ENTRIES = 1 << 14
+_EXPONENTS = 2048
+_MANTISSA_BITS = (1 << 52) - 1
+_LOW_HALF_BITS = (1 << 26) - 1
 
 
 class WeightedSample:
@@ -59,7 +66,7 @@ class WeightedSample:
                 raise DataError("negative weight")
             # exactly rounded total, so normalization is independent of
             # support-point order
-            total = math.fsum(w)
+            total = float(_exact_column_sums(w[:, None])[0])
             if total <= 0.0:
                 raise DataError("all-zero weights")
             w = w / total
@@ -156,17 +163,59 @@ def _derive_scale_structure(cov: np.ndarray, mean: np.ndarray) -> dict:
     return {"variances": var, "correlation": corr, "zero_variance": ()}
 
 
+def _exact_column_sums(x: np.ndarray) -> np.ndarray:
+    """The exactly rounded sum of each column of a finite (n, d) matrix.
+
+    Equal to ``math.fsum`` of each column, bit for bit, zeros included (on
+    Python 3.10-3.13 a sum that is exactly zero is +0.0), so a sum does not
+    depend on the order of the rows.  Each double is sign * mantissa *
+    2^(exponent - 1075), with a 53-bit integer mantissa and a biased
+    exponent of at least 1 (a subnormal has exponent 1 and no implicit bit).
+    The signed mantissas are split into a high part (at most 27 bits with
+    the sign) and a low part (26 bits), and ``np.bincount`` sums each part
+    per (column, exponent) bin.  Those float64 sums are integers below 2^53,
+    so exact, while a block has fewer than 2^26 rows.  Python ints then add
+    the bins without rounding, and one int / int division, which Python
+    rounds correctly, gives each column's sum.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    n, d = x.shape
+    bins = np.arange(d) * _EXPONENTS
+    high = np.zeros(d * _EXPONENTS, dtype=np.int64)
+    low = np.zeros(d * _EXPONENTS, dtype=np.int64)
+    rows = max(1, _SUM_BLOCK_ENTRIES // d)
+    for start in range(0, n, rows):
+        bits = x[start:start + rows].view(np.int64)
+        exponent = (bits >> 52) & (_EXPONENTS - 1)
+        mantissa = bits & _MANTISSA_BITS
+        np.bitwise_or(mantissa, 1 << 52, out=mantissa, where=exponent > 0)
+        np.negative(mantissa, out=mantissa, where=bits < 0)
+        np.maximum(exponent, 1, out=exponent)
+        exponent += bins
+        index = exponent.ravel()
+        # the high part is floor(m / 2^26), so m = high * 2^26 + low for either sign
+        high += np.bincount(index, (mantissa >> 26).ravel(), high.size).astype(np.int64)
+        low += np.bincount(index, (mantissa & _LOW_HALF_BITS).ravel(), low.size).astype(np.int64)
+    totals = [0] * d
+    used = np.flatnonzero(high | low)
+    for b, h, lo in zip(used.tolist(), high[used].tolist(), low[used].tolist()):
+        column, shift = divmod(b, _EXPONENTS)
+        totals[column] += ((h << 26) + lo) << shift
+    return np.array([total / (1 << 1075) for total in totals])
+
+
 def moments(sample: WeightedSample) -> MomentSummary:
     """Weighted population mean, covariance, variances and correlation.
 
     mean = sum_a w_a x_a and covariance = sum_a w_a (x_a - m)(x_a - m)^T,
-    with no bias correction.  The mean is accumulated with exact summation,
+    with no bias correction.  The mean is the exactly rounded sum of the
+    products w_a x_a (:func:`_exact_column_sums`, equal to ``math.fsum``),
     so it is bit-identical under any permutation of the support points.
     Zero-variance components are flagged in ``zero_variance`` rather than
     raising; their correlation entries are NaN.
     """
     x, w = sample.points, sample.weights
-    mean = np.array([math.fsum(col) for col in (x * w[:, None]).T])
+    mean = _exact_column_sums(x * w[:, None])
     diff = x - mean
     cov = (diff * w[:, None]).T @ diff
     cov = 0.5 * (cov + cov.T)

@@ -409,6 +409,7 @@ class TestVerifyCommand:
     def test_untampered_witness_passes(self):
         proc = run_cli("verify", "--checks", "pca-instability-witness")
         assert proc.returncode == 0
+        assert proc.stdout.startswith("seed: 20240\n")
         assert "PASS pca-instability-witness" in proc.stdout
 
     def test_unknown_check_name(self):
@@ -426,3 +427,16 @@ class TestVerifyCommand:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr + proc.stdout
         assert proc.stdout.count("PASS") == 3
+
+
+def test_cli_import_skips_what_only_some_commands_run():
+    # verify (with synth) and the thread pool are imported by the code that uses them
+    code = (
+        "import sys\n"
+        "import multigini.cli\n"
+        "print(sorted(m for m in ('multigini.verify', 'multigini.synth', 'concurrent.futures')"
+        " if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

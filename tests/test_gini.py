@@ -601,13 +601,19 @@ class TestLargeP:
     def test_normalizer_underflow_or_overflow_is_not_a_zero_mean(self, sigma, small):
         sample = WeightedSample(np.random.default_rng(79).lognormal(0.0, sigma, (300, 2)))
         m = moments(sample)
-        m_star = fit_whitening("zca_cor", m).matrix @ m.mean
+        transform = fit_whitening("zca_cor", m)
+        m_star = transform.matrix @ m.mean
         # |m*_i|^p underflows to 0 when every |m*_i| < 1, and overflows otherwise
         assert np.all(np.abs(m_star) < 1.0) == small
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="too large"):
                 gini_p(sample, 1e6)
+            with pytest.raises(NumericalError, match=re.escape("p = 1e+06 is too large")):
+                mahalanobis_norm_p(transform, m.mean, 1e6)
+            # below the range limits the public norm is the plain formula
+            expected = float(np.sum(np.abs(m_star) ** 200.0) ** (1.0 / 200.0))
+            assert mahalanobis_norm_p(transform, m.mean, 200.0) == expected
 
     def test_p_50_matches_brute_force(self):
         sample = outlier_sample()

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import math
+from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -197,6 +200,88 @@ class TestLoadCsv:
             load_metric_columns(path, ["b", "a", "b"])
         with pytest.raises(DataError, match="metric column 'a' listed twice"):
             load_csv(path, ["a", "a"])
+
+
+def row_loop_read(text, metric_columns, positive, group_column):
+    """Test oracle for ``_read_csv``: one ``float`` call per cell, row by row."""
+    reader = csv.reader(io.StringIO(text))
+    index = {column: j for j, column in enumerate(next(reader, []))}
+    metric_index = [index[column] for column in metric_columns]
+    group_index = index.get(group_column)
+    rows, labels, dropped = [], [], 0
+    for row in reader:
+        if not row:
+            continue
+        try:
+            values = [float(row[j]) for j in metric_index]
+        except (ValueError, IndexError):
+            dropped += 1
+            continue
+        if not all(map(math.isfinite, values)) or (positive and min(values) <= 0.0):
+            dropped += 1
+            continue
+        rows.append(values)
+        if group_index is not None:
+            labels.append(row[group_index].strip() if group_index < len(row) else "")
+    return rows, labels, dropped
+
+
+# cells the reader must convert or reject exactly as float() does
+_ODD_CELLS = ["", "n/a", "nan", "inf", "-inf", "1_0", " 2 ", "\u0661\u0662", "-3", "0", "1e400",
+              "4,5", '"6"', "0x10"]
+
+
+class TestReaderAgainstRowLoop:
+    """Batched conversion equals a per-row, per-cell ``float`` loop, batch boundaries included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_row_loop(self, tmp_path_factory, data):
+        d = data.draw(st.sampled_from([1, 3]))
+        metrics = ["a", "b", "c"][:d]
+        header = data.draw(st.permutations(["name", "group", *metrics]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        lines = []
+        for _ in range(data.draw(st.integers(0, 25))):
+            cells = [
+                str(rng.choice(_ODD_CELLS)) if rng.random() < 0.3 else repr(rng.lognormal(0.0, 2.0))
+                for _ in header
+            ]
+            cells[header.index("group")] = str(rng.choice(["x", " y ", "p,q", 'say "hi"']))
+            if rng.random() < 0.15:
+                cells = cells[:int(rng.integers(0, len(header)))]
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerow(cells)
+            lines.append(buffer.getvalue() if cells else "\n")
+            if rng.random() < 0.1:
+                lines.append("\n")
+        text = ",".join(header) + "\n" + "".join(lines)
+        path = tmp_path_factory.mktemp("reader") / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        positive = data.draw(st.booleans())
+        group_column = "group" if positive else None
+        rows, labels, dropped = row_loop_read(text, metrics, positive, group_column)
+        with mock.patch.object(multigini.report, "_CELL_BATCH", data.draw(st.integers(1, 7))):
+            if not rows:
+                with pytest.raises(DataError, match=f"no usable rows .*\\({dropped} dropped\\)"):
+                    multigini.report._read_csv(path, metrics, positive, group_column)
+                return
+            matrix, got_labels, got_dropped = multigini.report._read_csv(
+                path, metrics, positive, group_column
+            )
+        assert matrix.tobytes() == np.array(rows).tobytes()
+        assert matrix.shape == (len(rows), d)
+        assert got_labels is None if group_column is None else got_labels.tolist() == labels
+        assert got_dropped == dropped
+
+    def test_rejected_cells_resume_the_batch(self):
+        values, unparsed_rows = array("d", [7.0, 8.0]), set()
+        # rejected cells first, last, side by side and twice in one row
+        cells = ["x", "1", "y", "z", "2", "3", "4", "w"]
+        multigini.report._convert_cells(cells, values, 2, unparsed_rows)
+        assert [v if math.isfinite(v) else "nan" for v in values.tolist()] == [
+            7.0, 8.0, "nan", 1.0, "nan", "nan", 2.0, 3.0, 4.0, "nan"]
+        assert unparsed_rows == {1, 2, 4}
 
 
 class TestPanelize:

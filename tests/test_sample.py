@@ -1,6 +1,13 @@
+import math
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import multigini.sample
 from multigini import (
     DataError,
     NumericalError,
@@ -9,6 +16,7 @@ from multigini import (
     moments,
     sym_eigen,
 )
+from multigini.sample import _exact_column_sums
 
 
 class TestWeightedSample:
@@ -154,6 +162,90 @@ class TestMoments:
         m = moments(WeightedSample([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]]))
         assert m.zero_variance == (0,)
         assert np.isnan(m.correlation[0, 1])
+
+
+def fsum_hex(column) -> str:
+    """``math.fsum`` of the column as hex, or "overflow" when its exact sum is out of range.
+
+    fsum also raises on an intermediate overflow whose exact sum is finite
+    ([1e308, 1e308, -1e308]); that sum is then rounded once from a Fraction.
+    """
+    try:
+        return math.fsum(column).hex()
+    except OverflowError:
+        pass
+    try:
+        return float(sum(map(Fraction, column), Fraction(0))).hex()
+    except OverflowError:
+        return "overflow"
+
+
+def exact_sums_hex(x) -> list:
+    try:
+        return [value.hex() for value in _exact_column_sums(x).tolist()]
+    except OverflowError:
+        return ["overflow"]
+
+
+# hard cases: zeros of both signs, subnormals, the normal range edge and huge values
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308,
+                1e308, -1e308, 1.7976931348623157e308, 1e16, -1e16, 1.0, -1.0, 0.1]
+
+
+class TestExactColumnSums:
+    """``_exact_column_sums`` is ``math.fsum`` per column, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        # a small block size makes most runs cross block boundaries
+        block=st.sampled_from([1 << 14, 1, 2, 3, 5, 7, 64]),
+    )
+    def test_equals_fsum(self, d, n, seed, block):
+        rng = np.random.default_rng(seed)
+        # entry kinds, mixed in proportions that differ per run: edge values,
+        # any finite double, subnormals, moderate values, negated copies
+        kind = rng.choice(5, size=(n, d), p=rng.dirichlet(np.ones(5)))
+        exponent = np.where(kind == 2, 0, rng.integers(0, 2047, (n, d), dtype=np.uint64))
+        bits = (
+            (rng.integers(0, 2, (n, d), dtype=np.uint64) << np.uint64(63))
+            | (exponent.astype(np.uint64) << np.uint64(52))
+            | rng.integers(0, 1 << 52, (n, d), dtype=np.uint64)
+        )
+        x = bits.view(np.float64)
+        x = np.where(kind == 0, rng.choice(_EDGE_FLOATS, (n, d)), x)
+        x = np.where(kind == 3, rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, (n, d)), x)
+        x = np.where(kind == 4, -x[rng.integers(0, n, (n, d)), np.arange(d)], x)
+        expected = [fsum_hex(column.tolist()) for column in x.T]
+        if "overflow" in expected:
+            expected = ["overflow"]
+        with mock.patch.object(multigini.sample, "_SUM_BLOCK_ENTRIES", block):
+            assert exact_sums_hex(x) == expected
+
+    @pytest.mark.parametrize("column", [
+        [1e16, 1.0, -1e16],
+        [1.0, 1e100, 1.0, -1e100],
+        [0.1] * 10 + [-1.0],
+        [-0.0],
+        [-0.0, -0.0, -0.0],
+        [0.0, -0.0],
+        [1.0, -1.0, -0.0],
+        [5e-324, 5e-324, -5e-324],
+        [2.225073858507201e-308, 5e-324],
+        [1e308, 1e308, -1e308],
+        [1.7976931348623157e308, 1e292],
+        [1.7976931348623157e308, 1.7976931348623157e308],
+    ])
+    def test_cancellation_zeros_and_range_edges(self, column):
+        x = np.array(column)[:, None]
+        assert exact_sums_hex(x) == [fsum_hex(column)]
+        assert exact_sums_hex(x[::-1]) == [fsum_hex(column)]
+
+    def test_weights_normalized_by_the_exact_sum(self):
+        w = np.array([1e16, 1.0, 3.0, 1e-3])
+        np.testing.assert_array_equal(WeightedSample(np.ones((4, 1)), w).weights, w / math.fsum(w))
 
 
 class TestSymEigen:
