@@ -26,7 +26,6 @@ from .gini import (
     gini_1d,
     gini_1_decomposed,
     gini_p,
-    mahalanobis_norm_p,
 )
 from .report import (
     InequalityReport,
@@ -80,7 +79,6 @@ __all__ = [
     "gini_1_decomposed",
     "gini_p",
     "load_csv",
-    "mahalanobis_norm_p",
     "moments",
     "panelize",
     "scale_stability_check",

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .sample import WeightedSample, MomentSummary, moments
-from .whitening import WhiteningTransform, fit_whitening, fit_zca_cor
+from .whitening import fit_whitening, fit_zca_cor
 
 # Size cap (n support points) of the exact double sum used for p != 1; above
 # this, pair sampling is the intended route.  ~2e8 pair evaluations per
@@ -104,18 +104,6 @@ def _validate_p(p) -> float:
     return p
 
 
-def _pnorm_rows(diff: np.ndarray, p: float) -> np.ndarray:
-    """p-norm along the last axis."""
-    a = np.abs(diff)
-    if p == 1.0:
-        return a.sum(axis=-1)
-    if p == 2.0:
-        return np.sqrt((a * a).sum(axis=-1))
-    if math.isinf(p):
-        return a.max(axis=-1)
-    return (a**p).sum(axis=-1) ** (1.0 / p)
-
-
 def gini_1d(values, weights=None) -> float:
     """One-dimensional Gini index of a weighted value set.
 
@@ -185,26 +173,24 @@ def _sorted_mean_abs_difference(vs: np.ndarray, ws: np.ndarray) -> float:
     return max(mad, 0.0)
 
 
-def mahalanobis_norm_p(transform: WhiteningTransform, mean, p=2.0) -> float:
-    """p-norm of the whitened mean, ||W mean||_p.
-
-    For p = 2 the value is sqrt(m^T S^{-1} m) and does not depend on which
-    whitening matrix is used; for other p it does, which is why the scale
-    stable transforms are the meaningful choices.  Raises
-    :class:`NumericalError` when p is so large that the norm of a nonzero
-    whitened mean over- or underflows.
-    """
-    p = _validate_p(p)
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    if mean.shape[0] != transform.dim:
-        raise DataError(f"mean has length {mean.shape[0]}, transform expects {transform.dim}")
-    return _whitened_mean_norm(transform.matrix @ mean, p)
-
-
 def _whitened_mean_norm(m_star: np.ndarray, p: float) -> float:
-    """||m*||_p, or the large-p NumericalError when it is 0 or inf for a nonzero m*."""
+    """||m*||_p, or the large-p NumericalError when it is 0 or inf for a nonzero m*.
+
+    The p-norm of the whitened mean m* = W m, the index's normalizer.  For
+    p = 2 it is sqrt(m^T S^{-1} m) whichever whitening W is used; for other
+    p it depends on W, which is why the scale stable transforms are the
+    meaningful choices.
+    """
+    a = np.abs(m_star)
     with np.errstate(**_LARGE_P_QUIET):
-        norm = float(_pnorm_rows(m_star, p))
+        if p == 1.0:
+            norm = float(a.sum())
+        elif p == 2.0:
+            norm = float(np.sqrt((a * a).sum()))
+        elif math.isinf(p):
+            norm = float(a.max())
+        else:
+            norm = float((a**p).sum() ** (1.0 / p))
     if np.any(m_star) and not 0.0 < norm < math.inf:
         raise _large_p_error(p)
     return norm
@@ -215,7 +201,7 @@ def _whitened(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whitened points y and whitened mean m*, fitted on the sample's moments m."""
     transform = fit_whitening(method, m)
-    return sample.points @ transform.matrix.T, transform.matrix @ m.mean
+    return transform.apply(sample), transform.matrix @ m.mean
 
 
 def _exact_chunks(n: int) -> list[slice]:
@@ -486,7 +472,7 @@ def _gini_p(
     if not math.isfinite(mean_dist):
         raise _large_p_error(p)
 
-    weights = np.abs(m_star) / np.abs(m_star).sum() if p == 1.0 else None
+    weights = np.abs(m_star) / normalizer if p == 1.0 else None
     return GiniResult(
         p=p,
         value=mean_dist / (2.0 * normalizer),
@@ -533,8 +519,7 @@ def gaussian_g1_closed_form(mean, cov) -> float:
     non-null mean and an SPD covariance.
     """
     m = MomentSummary.from_mean_cov(mean, cov)
-    transform = fit_zca_cor(m)
-    normalizer = float(np.abs(transform.matrix @ m.mean).sum())
+    normalizer = _whitened_mean_norm(fit_zca_cor(m).matrix @ m.mean, 1.0)
     if normalizer == 0.0:
         raise NumericalError("non-null mean required")
     return m.dim / (math.sqrt(math.pi) * normalizer)

@@ -66,7 +66,10 @@ class WeightedSample:
                 raise DataError("negative weight")
             # exactly rounded total, so normalization is independent of
             # support-point order
-            total = float(_exact_column_sums(w[:, None])[0])
+            try:
+                total = float(_exact_column_sums(w[:, None])[0])
+            except OverflowError:
+                raise DataError("weights sum to more than the largest float") from None
             if total <= 0.0:
                 raise DataError("all-zero weights")
             w = w / total
@@ -212,13 +215,22 @@ def moments(sample: WeightedSample) -> MomentSummary:
     products w_a x_a (:func:`_exact_column_sums`, equal to ``math.fsum``),
     so it is bit-identical under any permutation of the support points.
     Zero-variance components are flagged in ``zero_variance`` rather than
-    raising; their correlation entries are NaN.
+    raising; their correlation entries are NaN.  Raises
+    :class:`NumericalError` when the covariance overflows, as it can for
+    values near the largest float.
     """
     x, w = sample.points, sample.weights
     mean = _exact_column_sums(x * w[:, None])
-    diff = x - mean
-    cov = (diff * w[:, None]).T @ diff
-    cov = 0.5 * (cov + cov.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = x - mean
+        cov = (diff * w[:, None]).T @ diff
+        cov = 0.5 * (cov + cov.T)
+    overflowed = np.flatnonzero(~np.isfinite(cov).all(axis=0))
+    if overflowed.size:
+        raise NumericalError(
+            f"covariance overflows in component(s) {overflowed.tolist()}; "
+            "rescale the data"
+        )
     return MomentSummary(mean=mean, covariance=cov, **_derive_scale_structure(cov, mean))
 
 

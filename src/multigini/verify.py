@@ -23,11 +23,11 @@ from .errors import DataError
 from .gini import (
     _exact_mean_distance,
     _whitened,
+    _whitened_mean_norm,
     gaussian_g1_closed_form,
     gini_1d,
     gini_1_decomposed,
     gini_p,
-    mahalanobis_norm_p,
 )
 from .sample import MomentSummary, WeightedSample, cholesky_lower, moments, sym_eigen
 from .synth import (
@@ -115,7 +115,7 @@ def check_scale_stability_suite(seed: int, tamper: bool) -> tuple[bool, str]:
         sample = _random_sample(rng, dim, n)
         q = np.exp(rng.uniform(np.log(0.1), np.log(10.0), dim))
         base = fit_whitening("zca_cor", moments(sample))
-        scale = max(1.0, float(np.abs(sample.points @ base.matrix.T).max()))
+        scale = max(1.0, float(np.abs(base.apply(sample)).max()))
         for method in ("cholesky", "zca_cor"):
             dev = scale_stability_check(method, sample, q) / scale
             worst = max(worst, dev)
@@ -237,7 +237,7 @@ def check_norm_independence(seed: int, tamper: bool) -> tuple[bool, str]:
         mean = rng.uniform(-3.0, 3.0, dim)
         m = MomentSummary.from_mean_cov(mean, cov)
         norms = [
-            mahalanobis_norm_p(fit_whitening(method, m), mean, 2.0)
+            _whitened_mean_norm(fit_whitening(method, m).matrix @ mean, 2.0)
             for method in ("zca", "pca", "cholesky", "zca_cor")
         ]
         spread = (max(norms) - min(norms)) / max(1.0, max(norms))
@@ -301,6 +301,8 @@ def run_checks(
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
     if names is not None:
+        if not names:
+            raise DataError("no check names given")
         known = {name for name, _ in CHECKS}
         unknown = [n for n in names if n not in known]
         if unknown:

@@ -56,15 +56,16 @@ class WhiteningTransform:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, sample: WeightedSample) -> WeightedSample:
-        """Whiten a sample: map every support point by the fitted matrix.
+    def apply(self, sample: WeightedSample) -> np.ndarray:
+        """The whitened support points y_a = W x_a, an (n, d) array.
 
-        Weights are unchanged.  The whitened points may have negative entries
-        even for a non-negative sample; ``gini_p`` reports that.
+        The sample's weights carry over to the whitened points unchanged.
+        The whitened points may have negative entries even for a
+        non-negative sample; ``gini_p`` reports that.
         """
         if sample.dim != self.dim:
             raise DataError(f"sample has dimension {sample.dim}, transform expects {self.dim}")
-        return WeightedSample(sample.points @ self.matrix.T, sample.weights)
+        return sample.points @ self.matrix.T
 
 
 def _nonsingular_correlation(m: MomentSummary, kind: str):
@@ -187,6 +188,4 @@ def scale_stability_check(method: str, sample: WeightedSample, q) -> float:
     scaled_sample = sample.scaled(q)
     base = fit_whitening(method, moments(sample))
     scaled = fit_whitening(method, moments(scaled_sample))
-    y_base = base.apply(sample).points
-    y_scaled = scaled.apply(scaled_sample).points
-    return float(np.abs(y_scaled - y_base).max())
+    return float(np.abs(scaled.apply(scaled_sample) - base.apply(sample)).max())

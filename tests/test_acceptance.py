@@ -36,6 +36,11 @@ def test_unknown_check_name_is_data_error():
         run_checks(names=["nope"])
 
 
+def test_empty_check_list_is_data_error():
+    with pytest.raises(DataError, match="no check names given"):
+        run_checks(names=[])
+
+
 def test_negative_seed_is_data_error():
     with pytest.raises(DataError, match="seed must be >= 0, got -20"):
         run_checks(seed=-20)

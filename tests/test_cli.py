@@ -164,6 +164,23 @@ class TestExitCodes:
         assert proc.stderr == "multigini: data error: seed must be >= 0, got -20\n"
         assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
 
+    @pytest.mark.parametrize("command", ["gini", "summary", "corr", "whiten", "report"])
+    def test_covariance_overflow_is_numerical_error(self, tmp_path, command):
+        path = tmp_path / "huge.csv"
+        path.write_text("group,a,b\ng,1e308,1\ng,1.7e308,2\ng,1.7e308,3\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "multigini", command,
+             "--input", str(path), "--columns", "a,b"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "multigini: numerical error: covariance overflows in component(s) [0]; "
+            "rescale the data\n"
+        )
+
     def test_singular_covariance_is_numerical_error(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("data") / "flat.csv"
         path.write_text("name,group,a,b\nx,g,1,2\ny,g,2,4\nz,g,3,6\n", encoding="utf-8")
@@ -415,6 +432,13 @@ class TestVerifyCommand:
     def test_unknown_check_name(self):
         proc = run_cli("verify", "--checks", "nonsense")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("checks", [",", " ", ""])
+    def test_empty_check_list_is_data_error(self, checks):
+        proc = run_cli("verify", "--checks", checks)
+        assert proc.returncode == 2
+        assert proc.stderr == "multigini: data error: no check names given\n"
+        assert "PASS" not in proc.stdout and "checks passed" not in proc.stdout
 
     def test_runs_without_scipy(self):
         code = (

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -48,6 +50,13 @@ class TestWeightedSample:
     def test_non_finite_weights(self):
         with pytest.raises(DataError, match="non-finite"):
             WeightedSample([[1.0], [2.0]], weights=[1.0, np.inf])
+
+    def test_overflowing_weight_total_is_data_error(self):
+        with pytest.raises(DataError, match="weights sum to more than the largest float"):
+            WeightedSample([[1.0], [2.0]], weights=[1e308, 1e308])
+        # a total just below the limit is normalized as before
+        w = np.array([1e308, 7.9e307])
+        np.testing.assert_array_equal(WeightedSample([[1.0], [2.0]], w).weights, w / math.fsum(w))
 
     def test_1d_points_become_single_column(self):
         s = WeightedSample([1.0, 2.0, 3.0])
@@ -162,6 +171,30 @@ class TestMoments:
         m = moments(WeightedSample([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]]))
         assert m.zero_variance == (0,)
         assert np.isnan(m.correlation[0, 1])
+
+    @pytest.mark.parametrize("points, overflowed", [
+        ([[1e308, 1.0], [1.7e308, 2.0], [1.7e308, 3.0]], [0]),
+        ([[1.0, 1e308], [2.0, 1.7e308], [3.0, 1.7e308]], [1]),
+        ([[-1.7e308, 1e308], [1.7e308, 1.7e308], [0.0, 1.7e308]], [0, 1]),
+    ])
+    def test_covariance_overflow_is_numerical_error(self, points, overflowed):
+        sample = WeightedSample(points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=re.escape(f"component(s) {overflowed};")):
+                moments(sample)
+
+    def test_finite_covariance_near_the_limit_is_the_plain_product(self):
+        rng = np.random.default_rng(5)
+        sample = WeightedSample(rng.lognormal(0.0, 1.0, (40, 3)) * 1e150, rng.random(40))
+        x, w = sample.points, sample.weights
+        diff = x - np.array([math.fsum(col) for col in (x * w[:, None]).T])
+        cov = (diff * w[:, None]).T @ diff
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = moments(sample)
+        np.testing.assert_array_equal(m.covariance, 0.5 * (cov + cov.T))
+        assert m.zero_variance == ()
 
 
 def fsum_hex(column) -> str:
