@@ -46,11 +46,7 @@ from .sample import (
 )
 from .whitening import (
     WhiteningTransform,
-    fit_cholesky,
-    fit_pca,
     fit_whitening,
-    fit_zca,
-    fit_zca_cor,
     scale_stability_check,
 )
 
@@ -69,11 +65,7 @@ __all__ = [
     "WhiteningTransform",
     "build_report",
     "cholesky_lower",
-    "fit_cholesky",
-    "fit_pca",
     "fit_whitening",
-    "fit_zca",
-    "fit_zca_cor",
     "gaussian_g1_closed_form",
     "gini_1d",
     "gini_1_decomposed",

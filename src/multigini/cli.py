@@ -30,14 +30,14 @@ from .report import (
     summary_lines,
 )
 from .sample import WeightedSample, moments
-from .whitening import fit_whitening, scale_stability_check
+from .whitening import METHODS, fit_whitening, scale_stability_check
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-_METHOD_FLAGS = {"zca": "zca", "pca": "pca", "cholesky": "cholesky", "zca-cor": "zca_cor"}
+_METHOD_FLAGS = {method.replace("_", "-"): method for method in METHODS}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .sample import WeightedSample, MomentSummary, moments
-from .whitening import fit_whitening, fit_zca_cor
+from .whitening import fit_whitening
 
 # Size cap (n support points) of the exact double sum used for p != 1; above
 # this, pair sampling is the intended route.  ~2e8 pair evaluations per
@@ -127,14 +127,18 @@ def gini_1d(values, weights=None) -> float:
             raise DataError(f"expected {v.size} weights, got {w.size}")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise DataError("weights must be finite and non-negative")
-        total = w.sum()
+        with np.errstate(over="ignore"):
+            total = w.sum()
+        if total == math.inf:
+            raise DataError("weights sum to more than the largest float")
         if total <= 0.0:
             raise DataError("all-zero weights")
         w = w / total
     mean = float(w @ v)
     if mean == 0.0:
         raise NumericalError("undefined inequality for zero-mean component")
-    return _mean_abs_difference(v, w) / (2.0 * abs(mean))
+    # halving is exact, and 2 |mean| overflows for a mean near the largest float
+    return _mean_abs_difference(v, w) / 2.0 / abs(mean)
 
 
 def _equal_weights(w: np.ndarray) -> bool:
@@ -519,7 +523,7 @@ def gaussian_g1_closed_form(mean, cov) -> float:
     non-null mean and an SPD covariance.
     """
     m = MomentSummary.from_mean_cov(mean, cov)
-    normalizer = _whitened_mean_norm(fit_zca_cor(m).matrix @ m.mean, 1.0)
+    normalizer = _whitened_mean_norm(fit_whitening("zca_cor", m).matrix @ m.mean, 1.0)
     if normalizer == 0.0:
         raise NumericalError("non-null mean required")
     return m.dim / (math.sqrt(math.pi) * normalizer)

@@ -151,8 +151,13 @@ def _derive_scale_structure(cov: np.ndarray, mean: np.ndarray) -> dict:
     """Variances, correlation, and zero-variance flags for a covariance matrix."""
     var = np.diag(cov).copy()
     # each variance against its own component's second moment about zero, so
-    # rescaling one component cannot flag it
-    degenerate = var <= (var + mean * mean) * DEGENERACY_RTOL
+    # rescaling one component cannot flag it.  A component whose |mean| is 1
+    # or more is first scaled by the power of two 2^-k that brings |mean|
+    # into [0.5, 1), so mean * mean cannot overflow; the scaling is exact, so
+    # the verdict is that of the unscaled test wherever that one is finite.
+    k = np.maximum(np.frexp(mean)[1], 0)
+    mean_k, var_k = np.ldexp(mean, -k), np.ldexp(var, -2 * k)
+    degenerate = var_k <= (var_k + mean_k * mean_k) * DEGENERACY_RTOL
     sd = np.sqrt(np.where(degenerate, 1.0, var))
     with np.errstate(invalid="ignore"):
         corr = cov / np.outer(sd, sd)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .sample import MomentSummary, WeightedSample, cholesky_lower
+from .sample import WeightedSample, cholesky_lower
 from .whitening import WhiteningTransform
 
 MAX_PRODUCT_DIM = 12       # exact product measures enumerate 2^dim points
@@ -34,7 +34,6 @@ class Fixture:
 
     name: str
     sample: WeightedSample | None = None
-    moments: MomentSummary | None = None
     expected: dict = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
 

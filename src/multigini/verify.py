@@ -39,7 +39,7 @@ from .synth import (
     pca_instability_fixture,
     write_sample_csv,
 )
-from .whitening import fit_whitening, scale_stability_check
+from .whitening import METHODS, fit_whitening, scale_stability_check
 
 DEFAULT_SEED = 20240
 
@@ -238,7 +238,7 @@ def check_norm_independence(seed: int, tamper: bool) -> tuple[bool, str]:
         m = MomentSummary.from_mean_cov(mean, cov)
         norms = [
             _whitened_mean_norm(fit_whitening(method, m).matrix @ mean, 2.0)
-            for method in ("zca", "pca", "cholesky", "zca_cor")
+            for method in METHODS
         ]
         spread = (max(norms) - min(norms)) / max(1.0, max(norms))
         worst = max(worst, spread)

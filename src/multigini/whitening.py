@@ -88,18 +88,6 @@ def _nonsingular_correlation(m: MomentSummary, kind: str):
     return eig
 
 
-def _spd_eigen(m: MomentSummary):
-    """Eigendecomposition of the covariance, for a nonsingular correlation."""
-    _nonsingular_correlation(m, "covariance")
-    eig = sym_eigen(m.covariance)
-    smallest = float(eig.eigenvalues[-1])
-    if smallest <= 0.0:  # roundoff, on components of widely different scales
-        raise NumericalError(
-            f"covariance is not positive definite: smallest eigenvalue {smallest:.3e}"
-        )
-    return eig
-
-
 def _make_transform(method: str, matrix: np.ndarray, m: MomentSummary) -> WhiteningTransform:
     wsw = matrix @ m.covariance @ matrix.T
     residual = float(np.abs(wsw - np.eye(matrix.shape[0])).max())
@@ -111,69 +99,44 @@ def _make_transform(method: str, matrix: np.ndarray, m: MomentSummary) -> Whiten
                               whiteness_residual=residual)
 
 
-def fit_zca(m: MomentSummary) -> WhiteningTransform:
-    """Symmetric (Mahalanobis) whitening: the inverse square root of the covariance."""
-    eig = _spd_eigen(m)
-    z = eig.eigenvectors
-    w = (z * eig.eigenvalues**-0.5) @ z.T
-    return _make_transform("zca", w, m)
-
-
-def fit_pca(m: MomentSummary) -> WhiteningTransform:
-    """Principal-component whitening: rotate to eigen-axes, then rescale.
-
-    Deterministic under the sign convention of :func:`sym_eigen`, but not
-    scale stable.
-    """
-    eig = _spd_eigen(m)
-    w = eig.eigenvectors.T * eig.eigenvalues[:, None]**-0.5
-    return _make_transform("pca", w, m)
-
-
-def fit_cholesky(m: MomentSummary) -> WhiteningTransform:
-    """Triangular whitening: W = C^{-1} for the factorization S = C C^T.
-
-    W is lower triangular with positive diagonal, and the triangular
-    structure is what makes this transform scale stable.
-    """
-    _nonsingular_correlation(m, "triangular")
-    c = cholesky_lower(m.covariance)
-    w = np.zeros_like(c)
-    for j in range(c.shape[0]):  # forward substitution, C W = I row by row
-        w[j, j] = 1.0 / c[j, j]
-        w[j, :j] = -(c[j, :j] @ w[:j, :j]) / c[j, j]
-    return _make_transform("cholesky", w, m)
-
-
-def fit_zca_cor(m: MomentSummary) -> WhiteningTransform:
-    """Correlation whitening: symmetric root of P^{-1} after variance rescaling.
-
-    W = O L^{-1/2} O^T V^{-1/2} where P = O L O^T.  The symmetric-root
-    selection is the canonical one for inequality measurement; the
-    correlation matrix is scale invariant, so the transform is scale stable.
-    """
-    eig = _nonsingular_correlation(m, "correlation")
-    o = eig.eigenvectors
-    p_inv_root = (o * eig.eigenvalues**-0.5) @ o.T
-    w = p_inv_root / np.sqrt(m.variances)[None, :]
-    return _make_transform("zca_cor", w, m)
-
-
-_FITTERS = {
-    "zca": fit_zca,
-    "pca": fit_pca,
-    "cholesky": fit_cholesky,
-    "zca_cor": fit_zca_cor,
-}
-
-
 def fit_whitening(method: str, m: MomentSummary) -> WhiteningTransform:
-    """Fit one of the four whitening transforms by name."""
-    try:
-        fitter = _FITTERS[method]
-    except KeyError:
-        raise DataError(f"unknown whitening method {method!r}; choose from {METHODS}") from None
-    return fitter(m)
+    """Fit one of the four whitening transforms, named in ``METHODS``, to ``m``.
+
+    Every method first rejects a singular correlation; the formula of each
+    W is in the module docstring.
+    """
+    if method not in METHODS:
+        raise DataError(f"unknown whitening method {method!r}; choose from {METHODS}")
+    kind = {"cholesky": "triangular", "zca_cor": "correlation"}.get(method, "covariance")
+    corr_eig = _nonsingular_correlation(m, kind)
+    if method == "cholesky":
+        # W = C^{-1} is lower triangular with positive diagonal, and the
+        # triangular structure is what makes this transform scale stable.
+        c = cholesky_lower(m.covariance)
+        w = np.zeros_like(c)
+        for j in range(c.shape[0]):  # forward substitution, C W = I row by row
+            w[j, j] = 1.0 / c[j, j]
+            w[j, :j] = -(c[j, :j] @ w[:j, :j]) / c[j, j]
+    elif method == "zca_cor":
+        # The symmetric-root selection is the canonical one for inequality
+        # measurement; the correlation matrix is scale invariant, so the
+        # transform is scale stable.
+        o = corr_eig.eigenvectors
+        p_inv_root = (o * corr_eig.eigenvalues**-0.5) @ o.T
+        w = p_inv_root / np.sqrt(m.variances)[None, :]
+    else:
+        eig = sym_eigen(m.covariance)
+        smallest = float(eig.eigenvalues[-1])
+        if smallest <= 0.0:  # roundoff, on components of widely different scales
+            raise NumericalError(
+                f"covariance is not positive definite: smallest eigenvalue {smallest:.3e}"
+            )
+        z = eig.eigenvectors
+        if method == "zca":
+            w = (z * eig.eigenvalues**-0.5) @ z.T
+        else:  # pca: deterministic under the sign convention of sym_eigen, but not scale stable
+            w = z.T * eig.eigenvalues[:, None]**-0.5
+    return _make_transform(method, w, m)
 
 
 def scale_stability_check(method: str, sample: WeightedSample, q) -> float:

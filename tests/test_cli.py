@@ -188,6 +188,23 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "eigenvalue" in proc.stderr
 
+    def test_mean_near_the_float_limit_is_not_zero_variance(self, tmp_path):
+        # the value is that of the same data with column a in units 1e4 larger
+        huge, scaled = tmp_path / "huge.csv", tmp_path / "scaled.csv"
+        huge.write_text("a,b\n2e154,1\n2.0001e154,2\n2.0002e154,4\n", encoding="utf-8")
+        scaled.write_text("a,b\n2e150,1\n2.0001e150,2\n2.0002e150,4\n", encoding="utf-8")
+        values = []
+        for path in (huge, scaled):
+            proc = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "multigini", "gini",
+                 "--input", str(path), "--columns", "a,b", "--format", "json"],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            values.append(json.loads(proc.stdout)["value"])
+        assert abs(values[0] - values[1]) <= 1e-12
+
 
 class TestGiniCommand:
     def test_pipeline_value(self, spike_csv):
@@ -296,6 +313,24 @@ class TestWhitenCommand:
         assert proc.returncode == 3
         assert "not white" in proc.stderr
         assert run_cli(*args, "zca-cor").returncode == 0
+
+    def test_method_choices_are_the_library_methods(self, tmp_path):
+        from multigini.whitening import METHODS
+
+        path = tmp_path / "flat.csv"
+        path.write_text("a,b\n1,1\n1,2\n1,4\n", encoding="utf-8")
+        usage = run_cli("whiten", "--input", str(path), "--columns", "a,b", "--method", "ica")
+        assert usage.returncode == 1
+        flags = tuple(method.replace("_", "-") for method in METHODS)
+        assert f"(choose from {', '.join(map(repr, flags))})" in usage.stderr
+        # a zero-variance column: each method's error names the matrix it needs
+        matrices = {"zca": "covariance", "pca": "covariance", "cholesky": "triangular",
+                    "zca-cor": "correlation"}
+        assert set(matrices) == set(flags)
+        for flag, matrix in matrices.items():
+            proc = run_cli("whiten", "--input", str(path), "--columns", "a,b", "--method", flag)
+            assert proc.returncode == 3
+            assert f"component(s) [0]; {matrix} whitening is undefined" in proc.stderr
 
 
 class TestSummaryCorr:

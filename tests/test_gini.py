@@ -15,8 +15,6 @@ from multigini import (
     NumericalError,
     WeightedSample,
     fit_whitening,
-    fit_zca,
-    fit_zca_cor,
     gaussian_g1_closed_form,
     gini_1d,
     gini_1_decomposed,
@@ -107,6 +105,16 @@ class TestGini1d:
             gini_1d([1.0, 2.0], [0.5, -0.1])
         with pytest.raises(DataError):
             gini_1d([1.0, 2.0], [0.0, 0.0])
+
+    def test_mean_near_the_largest_float(self):
+        # 2 |mean| is out of range here; the value is that at any smaller scale
+        huge = gini_1d([1e308, 1.7e308, 1.7e308])
+        assert abs(huge - gini_1d([1.0, 1.7, 1.7])) <= 1e-12
+        assert huge > 0.1
+
+    def test_overflowing_weight_total_is_data_error(self):
+        with pytest.raises(DataError, match="weights sum to more than the largest float"):
+            gini_1d([1.0, 2.0, 3.0], [1e308, 1e308, 1e308])
 
 
 def argsort_route(v, w):
@@ -358,17 +366,17 @@ class TestMahalanobisNorm:
 
     def test_euclidean(self):
         m = MomentSummary.from_mean_cov([0.0, 0.0], np.eye(2))
-        m_star = fit_zca(m).matrix @ [3.0, 4.0]
+        m_star = fit_whitening("zca", m).matrix @ [3.0, 4.0]
         assert _whitened_mean_norm(m_star, 2.0) == pytest.approx(5.0, abs=1e-12)
 
     def test_l1(self):
         m = MomentSummary.from_mean_cov([0.0] * 3, np.eye(3))
-        m_star = fit_zca(m).matrix @ [1.0, -2.0, 3.0]
+        m_star = fit_whitening("zca", m).matrix @ [1.0, -2.0, 3.0]
         assert _whitened_mean_norm(m_star, 1.0) == pytest.approx(6.0, abs=1e-12)
 
     def test_max_norm(self):
         m = MomentSummary.from_mean_cov([0.0] * 3, np.eye(3))
-        m_star = fit_zca(m).matrix @ [1.0, -2.0, 0.5]
+        m_star = fit_whitening("zca", m).matrix @ [1.0, -2.0, 0.5]
         assert _whitened_mean_norm(m_star, math.inf) == pytest.approx(2.0, abs=1e-12)
 
     def test_p2_agrees_across_methods(self):
@@ -498,7 +506,7 @@ class TestGiniP:
         rng = np.random.default_rng(41)
         sample = WeightedSample(rng.standard_normal((200, 3)) + [3.0, 1.0, 2.0])
         assert sample.points.min() < 0
-        whitened = fit_zca_cor(moments(sample)).apply(sample)
+        whitened = fit_whitening("zca_cor", moments(sample)).apply(sample)
         assert whitened.min() < -1e-9 * np.abs(whitened).max()
         for result in (
             gini_p(sample, 1.0),

@@ -196,6 +196,11 @@ class TestMoments:
         np.testing.assert_array_equal(m.covariance, 0.5 * (cov + cov.T))
         assert m.zero_variance == ()
 
+    def test_mean_near_the_float_limit_is_not_zero_variance(self):
+        # mean * mean is out of range for component 0; its variance is not small
+        sample = WeightedSample([[2e154, 1.0], [2.0001e154, 2.0], [2.0002e154, 4.0]])
+        assert moments(sample).zero_variance == ()
+
 
 def fsum_hex(column) -> str:
     """``math.fsum`` of the column as hex, or "overflow" when its exact sum is out of range.

@@ -9,11 +9,7 @@ from multigini import (
     NumericalError,
     WeightedSample,
     cholesky_lower,
-    fit_cholesky,
-    fit_pca,
     fit_whitening,
-    fit_zca,
-    fit_zca_cor,
     moments,
     scale_stability_check,
 )
@@ -41,30 +37,30 @@ def gaussian_design_sample(mean, cov):
 class TestFitTrivialCases:
     def test_zca_identity(self):
         m = MomentSummary.from_mean_cov([0.0, 0.0], np.eye(2))
-        np.testing.assert_allclose(fit_zca(m).matrix, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(fit_whitening("zca", m).matrix, np.eye(2), atol=1e-12)
 
     def test_pca_identity(self):
         m = MomentSummary.from_mean_cov([0.0, 0.0], np.eye(2))
-        np.testing.assert_allclose(fit_pca(m).matrix, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(fit_whitening("pca", m).matrix, np.eye(2), atol=1e-12)
 
     def test_cholesky_identity(self):
         m = MomentSummary.from_mean_cov([0.0, 0.0], np.eye(2))
-        np.testing.assert_allclose(fit_cholesky(m).matrix, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(fit_whitening("cholesky", m).matrix, np.eye(2), atol=1e-12)
 
     def test_zca_cor_identity(self):
         m = MomentSummary.from_mean_cov([0.0, 0.0], np.eye(2))
-        np.testing.assert_allclose(fit_zca_cor(m).matrix, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(fit_whitening("zca_cor", m).matrix, np.eye(2), atol=1e-12)
 
-    @pytest.mark.parametrize("fit", [fit_zca, fit_cholesky, fit_zca_cor])
-    def test_diagonal_covariance(self, fit):
+    @pytest.mark.parametrize("method", ["zca", "cholesky", "zca_cor"], ids="fit_{}".format)
+    def test_diagonal_covariance(self, method):
         m = MomentSummary.from_mean_cov([0.0, 0.0], [[4.0, 0.0], [0.0, 9.0]])
-        np.testing.assert_allclose(fit(m).matrix, [[0.5, 0.0], [0.0, 1.0 / 3.0]], atol=1e-12)
+        np.testing.assert_allclose(fit_whitening(method, m).matrix, [[0.5, 0.0], [0.0, 1.0 / 3.0]], atol=1e-12)
 
 
 class TestWhiteness:
     def test_zca_symmetric_and_white(self):
         m = MomentSummary.from_mean_cov([1.0, 1.0], [[4.0, -2.0], [-2.0, 3.0]])
-        t = fit_zca(m)
+        t = fit_whitening("zca", m)
         assert np.abs(t.matrix - t.matrix.T).max() <= 1e-10
         assert np.abs(t.matrix @ m.covariance @ t.matrix.T - np.eye(2)).max() <= 1e-10
 
@@ -97,7 +93,7 @@ class TestWhiteness:
             d = int(rng.integers(2, 6))
             m = random_spd_moments(rng, d)
             r, _ = np.linalg.qr(rng.standard_normal((d, d)))
-            w = r @ fit_zca(m).matrix
+            w = r @ fit_whitening("zca", m).matrix
             inv = np.linalg.inv(m.covariance)
             scale = max(1.0, np.abs(inv).max())
             assert np.abs(w.T @ w - inv).max() <= 1e-9 * scale
@@ -109,7 +105,7 @@ class TestWhiteness:
             base = random_spd_moments(rng, d)
             q = 10.0 ** rng.uniform(-9.0, 9.0, d)
             m = MomentSummary.from_mean_cov(base.mean * q, base.covariance * np.outer(q, q))
-            w = fit_cholesky(m).matrix
+            w = fit_whitening("cholesky", m).matrix
             assert np.all(np.triu(w, 1) == 0.0)
             assert np.all(np.diag(w) > 0)
             assert np.abs(w @ cholesky_lower(m.covariance) - np.eye(d)).max() <= 1e-13
@@ -119,7 +115,7 @@ class TestWhiteness:
         for _ in range(20):
             d = int(rng.integers(2, 6))
             m = random_spd_moments(rng, d)
-            t = fit_zca_cor(m)
+            t = fit_whitening("zca_cor", m)
             conj = t.matrix @ np.diag(np.sqrt(m.variances))
             assert np.abs(conj - conj.T).max() <= 1e-10
 
@@ -128,7 +124,7 @@ class TestFitErrors:
     def test_singular_covariance_reports_smallest_eigenvalue(self):
         m = MomentSummary.from_mean_cov([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(NumericalError, match="smallest eigenvalue"):
-            fit_zca(m)
+            fit_whitening("zca", m)
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_collinear_sample_reports_smallest_eigenvalue(self, method):
@@ -147,21 +143,21 @@ class TestFitErrors:
         m = moments(WeightedSample(points).scaled([1.0, 1e-6, 1.0]))
         assert fit_whitening(method, m).dim == 3
 
-    @pytest.mark.parametrize("fit", [fit_zca, fit_pca])
-    def test_non_white_fit_rejected(self, fit):
+    @pytest.mark.parametrize("method", ["zca", "pca"], ids="fit_{}".format)
+    def test_non_white_fit_rejected(self, method):
         # at a 1e-8 scale the covariance is still positive definite, but
         # roundoff leaves max|W S W^T - I| at 0.51
         points = np.random.default_rng(1).lognormal(0.0, 0.6, (400, 3))
         m = moments(WeightedSample(points).scaled([1.0, 1e-8, 1.0]))
         with pytest.raises(NumericalError, match="not white"):
-            fit(m)
-        for stable in (fit_cholesky, fit_zca_cor):
-            assert stable(m).whiteness_residual <= 1e-14
+            fit_whitening(method, m)
+        for stable in ("cholesky", "zca_cor"):
+            assert fit_whitening(stable, m).whiteness_residual <= 1e-14
 
     def test_zero_variance_names_component(self):
         m = moments(WeightedSample([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]]))
         with pytest.raises(NumericalError, match=r"component\(s\) \[0\]"):
-            fit_zca_cor(m)
+            fit_whitening("zca_cor", m)
 
     def test_unknown_method(self):
         m = MomentSummary.from_mean_cov([0.0], [[1.0]])
@@ -173,13 +169,13 @@ class TestApply:
     def test_identity_transform_keeps_sample(self):
         s = WeightedSample([[1.0, 2.0], [3.0, 4.0]], weights=[1.0, 2.0])
         m = MomentSummary.from_mean_cov([0.0, 0.0], np.eye(2))
-        out = fit_zca(m).apply(s)
+        out = fit_whitening("zca", m).apply(s)
         np.testing.assert_array_equal(out, s.points)
 
     def test_whitened_sample_has_identity_covariance(self):
         cov = [[4.0, -2.0], [-2.0, 3.0]]
         s = gaussian_design_sample([1.0, 1.0], cov)
-        t = fit_zca_cor(moments(s))
+        t = fit_whitening("zca_cor", moments(s))
         white = moments(WeightedSample(t.apply(s), s.weights)).covariance
         assert np.abs(white - np.eye(2)).max() <= 1e-8
 
@@ -187,7 +183,7 @@ class TestApply:
         s = WeightedSample([[1.0, 2.0, 3.0]])
         m = MomentSummary.from_mean_cov([0.0, 0.0], np.eye(2))
         with pytest.raises(DataError, match="dimension"):
-            fit_zca(m).apply(s)
+            fit_whitening("zca", m).apply(s)
 
     def test_negativity_warning_on_positive_correlation(self):
         # diagonal cloud plus a boundary point: correlation whitening maps it
@@ -197,7 +193,7 @@ class TestApply:
             dtype=float,
         )
         s = WeightedSample(pts)
-        t = fit_zca_cor(moments(s))
+        t = fit_whitening("zca_cor", moments(s))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = t.apply(s)
@@ -220,7 +216,7 @@ class TestApply:
             gen_coinflip_cube(5.0, 2),
         ]
         for sample in samples:
-            t = fit_zca_cor(moments(sample))
+            t = fit_whitening("zca_cor", moments(sample))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 out = t.apply(sample)
@@ -229,7 +225,7 @@ class TestApply:
     def test_no_warning_for_signed_input(self):
         rng = np.random.default_rng(26)
         s = WeightedSample(rng.standard_normal((30, 2)))
-        t = fit_zca_cor(moments(s))
+        t = fit_whitening("zca_cor", moments(s))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             t.apply(s)
@@ -272,8 +268,8 @@ class TestScaleStability:
 
     def test_exact_pca_close_to_reference_matrices(self):
         fx = pca_instability_fixture()
-        base = fit_pca(moments(fx.sample))
-        scaled = fit_pca(moments(fx.sample.scaled(fx.expected["scale"])))
+        base = fit_whitening("pca", moments(fx.sample))
+        scaled = fit_whitening("pca", moments(fx.sample.scaled(fx.expected["scale"])))
         assert np.abs(base.matrix - fx.expected["pca_matrix_2dp"]).max() <= 0.01
         assert np.abs(scaled.matrix - fx.expected["scaled_pca_matrix_2dp"]).max() <= 0.01
         base_mean = base.matrix @ moments(fx.sample).mean
