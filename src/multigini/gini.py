@@ -167,6 +167,10 @@ def _mean_abs_difference(v: np.ndarray, w: np.ndarray) -> float:
 
 def _sorted_mean_abs_difference(vs: np.ndarray, ws: np.ndarray) -> float:
     """``_mean_abs_difference`` of values sorted ascending, with their weights."""
+    if math.isinf(float(vs[-1]) - float(vs[0])):
+        # the span overflows: halve the values (exact but for subnormals,
+        # negligible beside such a span) and double the sum, linear in them
+        return 2.0 * _sorted_mean_abs_difference(vs * 0.5, ws)
     # shifting to start at zero costs nothing (pairwise differences are
     # shift invariant) and avoids cancellation for near-constant values
     vs = vs - vs[0]
@@ -180,21 +184,16 @@ def _sorted_mean_abs_difference(vs: np.ndarray, ws: np.ndarray) -> float:
 def _whitened_mean_norm(m_star: np.ndarray, p: float) -> float:
     """||m*||_p, or the large-p NumericalError when it is 0 or inf for a nonzero m*.
 
-    The p-norm of the whitened mean m* = W m, the index's normalizer.  For
-    p = 2 it is sqrt(m^T S^{-1} m) whichever whitening W is used; for other
-    p it depends on W, which is why the scale stable transforms are the
-    meaningful choices.
+    The p-norm of the whitened mean m* = W m, the index's normalizer, by
+    :func:`_pnorm_of_differences` over the pairs (m*_k, 0), so it is rounded
+    like every pair distance.  For p = 2 it is sqrt(m^T S^{-1} m) whichever
+    whitening W is used; for other p it depends on W, which is why the scale
+    stable transforms are the meaningful choices.
     """
-    a = np.abs(m_star)
     with np.errstate(**_LARGE_P_QUIET):
-        if p == 1.0:
-            norm = float(a.sum())
-        elif p == 2.0:
-            norm = float(np.sqrt((a * a).sum()))
-        elif math.isinf(p):
-            norm = float(a.max())
-        else:
-            norm = float((a**p).sum() ** (1.0 / p))
+        norm = float(_pnorm_of_differences(
+            ((a, 0.0) for a in m_star[:, None]), p, np.empty(1), np.empty(1)
+        )[0])
     if np.any(m_star) and not 0.0 < norm < math.inf:
         raise _large_p_error(p)
     return norm
@@ -281,34 +280,13 @@ def _exact_mean_distance(y: np.ndarray, w: np.ndarray, p: float, threads: int) -
     return total
 
 
-def _equal_weight_searchsorted(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, u, side="right")`` for the CDF of n equal weights, u >= 0.
+def _equal_weight_indices(u: np.ndarray, n: int) -> np.ndarray:
+    """Indices floor(u n) of n equally weighted points at uniform draws u in [0, 1).
 
-    Guesses min(floor(u n), n - 1), then walks each index up while
-    cdf[idx] <= u and down while cdf[idx - 1] > u, until no index moves.
-    The result is the one index with cdf[idx - 1] <= u < cdf[idx] (the
-    number of entries <= u), which is what the binary search returns.  The
-    walks are correct for any non-decreasing ``cdf``; they are short when
-    the entries lie near (i + 1) / n, as the cumsum of equal weights does
-    (its rounding, about n eps, is far below the 1/n spacing).
+    Inverts the uniform CDF directly (Devroye 1986, ch. III).  No index
+    reaches n: u <= 1 - 2^-53, and n (1 - 2^-53) rounds below n.
     """
-    n = cdf.size
-    # lower[i] = cdf[i - 1] and upper[i] = cdf[i]; the infinite sentinels
-    # stop both walks at the ends
-    edges = np.concatenate(([-np.inf], cdf, [np.inf]))
-    lower, upper = edges[:-1], edges[1:]
-    flat = u.reshape(-1)
-    idx = (flat * n).astype(np.intp)
-    np.minimum(idx, n - 1, out=idx)
-    moving = np.flatnonzero(upper[idx] <= flat)
-    while moving.size:
-        idx[moving] += 1
-        moving = moving[upper[idx[moving]] <= flat[moving]]
-    moving = np.flatnonzero(lower[idx] > flat)
-    while moving.size:
-        idx[moving] -= 1
-        moving = moving[lower[idx[moving]] > flat[moving]]
-    return idx.reshape(u.shape)
+    return (u * n).astype(np.intp)
 
 
 def _pair_sample_mean_distance(
@@ -319,16 +297,17 @@ def _pair_sample_mean_distance(
     One seeded generator produces the pair indices as a single deterministic
     sequence, consumed in fixed-size chunks and reduced in order, so the
     estimate is bit-reproducible for a given seed.  Indices come from
-    inverting the weight CDF at uniform draws: by binary search, or for
-    equal weights by :func:`_equal_weight_searchsorted`, which returns the
-    same indices without one.  Each chunk gathers one whitened column at a
+    inverting the weight CDF at uniform draws: by binary search on the
+    cumulative weights, or for equal weights directly by
+    :func:`_equal_weight_indices`.  Each chunk gathers one whitened column at a
     time and hands the differences to :func:`_pnorm_of_differences`, the
     exact double sum's per-pair arithmetic.
     """
     rng = np.random.default_rng(seed)
-    cdf = np.cumsum(w)
-    cdf[-1] = 1.0
-    equal = _equal_weights(w)
+    cdf = None
+    if not _equal_weights(w):
+        cdf = np.cumsum(w)
+        cdf[-1] = 1.0
     columns = np.ascontiguousarray(y.T)
     acc = np.empty(min(_PAIR_CHUNK, pairs))
     term = np.empty_like(acc)
@@ -338,8 +317,8 @@ def _pair_sample_mean_distance(
     while done < pairs:
         count = min(_PAIR_CHUNK, pairs - done)
         u = rng.random((2, count))
-        if equal:
-            ia, ib = _equal_weight_searchsorted(cdf, u)
+        if cdf is None:
+            ia, ib = _equal_weight_indices(u, w.size)
         else:
             ia, ib = np.searchsorted(cdf, u, side="right")
         gathered = ((col[ia], col[ib]) for col in columns)
@@ -379,10 +358,9 @@ def gini_p(
     (the value does not depend on ``threads``).  estimator="pairs" draws
     ``pairs`` independent index pairs from the weight distribution with a
     fixed seed and reports a standard error alongside the estimate.  The
-    indices invert the weight CDF at one seeded uniform stream; equal weights
-    take a shortcut that returns the same indices, so the value is the same.
-    Both estimators compute a pair's distance one whitened component at a
-    time, in component order.
+    indices invert the weight CDF at one seeded uniform stream, directly as
+    floor(u n) for equal weights.  Both estimators, and the normalizer,
+    compute a p-norm one whitened component at a time, in component order.
 
     Arguments are checked before any moment or fit, so a bad ``estimator``,
     ``pairs`` or ``seed`` is a :class:`DataError` even on a singular sample.

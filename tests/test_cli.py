@@ -222,11 +222,13 @@ class TestGiniCommand:
         assert abs(combined - payload["value"]) <= 1e-12
 
     def test_thread_count_does_not_change_output(self, spike_csv):
-        args = ("gini", "--input", spike_csv, "--columns", "m1,m2,m3", "--format", "json")
-        one = run_cli(*args, "--threads", "1")
-        four = run_cli(*args, "--threads", "4")
-        assert one.returncode == four.returncode == 0
-        assert one.stdout == four.stdout
+        base = ("gini", "--input", spike_csv, "--columns", "m1,m2,m3", "--format", "json")
+        pairs = ("--estimator", "pairs", "--pairs", "30000", "--seed", "5")
+        for args in (base, (*base, *pairs, "--p", "1.5"), (*base, *pairs, "--p", "2")):
+            one = run_cli(*args, "--threads", "1")
+            four = run_cli(*args, "--threads", "4")
+            assert one.returncode == four.returncode == 0
+            assert one.stdout == four.stdout
 
     def test_pairs_estimator_prints_seed(self, spike_csv):
         proc = run_cli(

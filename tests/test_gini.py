@@ -23,7 +23,7 @@ from multigini import (
 )
 from multigini.gini import (
     _PAIR_CHUNK,
-    _equal_weight_searchsorted,
+    _equal_weight_indices,
     _exact_chunks,
     _exact_mean_distance,
     _mean_abs_difference,
@@ -112,6 +112,16 @@ class TestGini1d:
         assert abs(huge - gini_1d([1.0, 1.7, 1.7])) <= 1e-12
         assert huge > 0.1
 
+    @pytest.mark.parametrize("values", [[-1.7e308, 1.7e308, 1.7e308], [-1e308, 1.7e308, 1.7e308]])
+    def test_span_beyond_the_largest_float(self, values):
+        # max - min overflows; the index is that of the values scaled down
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = gini_1d(values)
+            scaled = gini_1d(np.array(values) / 1e308)
+        assert abs(huge - scaled) <= 1e-12
+        assert huge > 0.1
+
     def test_overflowing_weight_total_is_data_error(self):
         with pytest.raises(DataError, match="weights sum to more than the largest float"):
             gini_1d([1.0, 2.0, 3.0], [1e308, 1e308, 1e308])
@@ -197,23 +207,36 @@ def row_pnorm_distance(ya, yb, p):
     return (a**p).sum(axis=-1) ** (1.0 / p)
 
 
-def searchsorted_pair_sampler(y, w, p, pairs, seed, distance=row_pnorm_distance):
-    """The binary-search pair sampler that the equal-weight route replaced, kept as its reference.
+def searchsorted_indices(w, u):
+    """Pair indices at uniform draws u by binary search, the sampler's reference.
 
-    ``distance(y[ia], y[ib], p)`` gives the chunk's pair distances; by
-    default numpy's row p-norm, as the sampler computed them at the time.
+    Unequal weights search their cumulative sum.  Equal weights search the
+    integer grid 1, ..., n - 1 at u n, which counts the k <= u n:
+    min(floor(u n), n - 1), the sampler's direct rule by another route.
     """
-    rng = np.random.default_rng(seed)
+    n = w.size
+    if np.all(w == w[0]):
+        return np.searchsorted(np.arange(1, n), u * n, side="right")
     cdf = np.cumsum(w)
     cdf[-1] = 1.0
+    return np.searchsorted(cdf, u, side="right")
+
+
+def searchsorted_pair_sampler(y, w, p, pairs, seed, distance=row_pnorm_distance):
+    """A pair sampler by binary search (:func:`searchsorted_indices`), the sampler's reference.
+
+    ``distance(y[ia], y[ib], p)`` gives the chunk's pair distances; by
+    default numpy's row p-norm, as the sampler once computed them.
+    """
+    rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < pairs:
         count = min(gini_module._PAIR_CHUNK, pairs - done)
         u = rng.random((2, count))
-        ia = np.searchsorted(cdf, u[0], side="right")
-        ib = np.searchsorted(cdf, u[1], side="right")
+        ia = searchsorted_indices(w, u[0])
+        ib = searchsorted_indices(w, u[1])
         dist = distance(y[ia], y[ib], p)
         total += float(dist.sum())
         total_sq += float((dist * dist).sum())
@@ -224,35 +247,39 @@ def searchsorted_pair_sampler(y, w, p, pairs, seed, distance=row_pnorm_distance)
 
 
 class TestIndexRoutes:
-    """Equal weights find pair indices without a binary search; no index may change."""
+    """Equal weights invert the uniform CDF directly; other weights binary search."""
 
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(1, 3000) | st.sampled_from([4096, 99_991, 199_000]),
-        raw=st.sampled_from([None, 1.0, 0.1, 3.0, 7e-300]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n=1, raw=None, seed=0)
-    @example(n=2, raw=None, seed=0)
-    @example(n=3, raw=0.1, seed=0)
-    @example(n=10**6, raw=None, seed=1)
-    @example(n=10**6, raw=3.0, seed=2)
-    def test_equal_weight_route_is_searchsorted(self, n, raw, seed):
-        w = WeightedSample(np.zeros(n), None if raw is None else np.full(n, raw)).weights
-        cdf = np.cumsum(w)
-        cdf[-1] = 1.0
+    @example(n=1, seed=0)
+    @example(n=2, seed=0)
+    @example(n=3, seed=0)
+    @example(n=199_000, seed=1)
+    @example(n=10**6, seed=2)
+    @example(n=10**6 - 1, seed=3)
+    def test_equal_weight_indices_are_floor_un(self, n, seed):
+        grid = np.arange(n) / n
+        below_one = np.nextafter(1.0, 0.0)
         u = np.concatenate((
-            [0.0],
-            cdf,
-            np.nextafter(cdf, -np.inf),
-            np.nextafter(cdf, np.inf),
+            [0.0, below_one],
+            grid,
+            np.nextafter(grid, -np.inf)[1:],
+            np.nextafter(grid, np.inf),
             np.random.default_rng(seed).random(1000),
         ))
-        expected = np.searchsorted(cdf, u, side="right")
-        np.testing.assert_array_equal(_equal_weight_searchsorted(cdf, u), expected)
+        expected = np.minimum(np.floor(u * n), n - 1).astype(np.intp)
+        got = _equal_weight_indices(u, n)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(got, searchsorted_indices(np.full(n, 1.0 / n), u))
+        # the largest draw below 1 gives the last index, never n
+        assert got[1] == n - 1
         pairs = u[: 2 * (u.size // 2)].reshape(2, -1)
         np.testing.assert_array_equal(
-            _equal_weight_searchsorted(cdf, pairs), expected[: pairs.size].reshape(2, -1)
+            _equal_weight_indices(pairs, n), expected[: pairs.size].reshape(2, -1)
         )
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
@@ -278,11 +305,12 @@ class TestIndexRoutes:
 
         monkeypatch.setattr(np, "searchsorted", spy("searchsorted", np.searchsorted))
         monkeypatch.setattr(
-            gini_module, "_equal_weight_searchsorted",
-            spy("equal", gini_module._equal_weight_searchsorted),
+            gini_module, "_equal_weight_indices",
+            spy("equal", gini_module._equal_weight_indices),
         )
         sample = random_nonneg_sample(np.random.default_rng(59), 2, 300, weighted=weighted)
         gini_p(sample, 2.0, estimator="pairs", pairs=_PAIR_CHUNK + 1, seed=3)
+        # one call per chunk, both index rows at once
         assert calls == ["searchsorted" if weighted else "equal"] * 2
 
 
@@ -315,10 +343,8 @@ def component_order_distance(ya, yb, p):
 
 def fsum_pair_oracle(y, w, p, pairs, seed):
     """Mean and SE of the sampled pair distances, each distance and sum by math.fsum."""
-    cdf = np.cumsum(w)
-    cdf[-1] = 1.0
     u = np.random.default_rng(seed).random((2, pairs))
-    ia, ib = np.searchsorted(cdf, u, side="right")
+    ia, ib = searchsorted_indices(w, u)
     dists = []
     for a, b in zip(y[ia].tolist(), y[ib].tolist()):
         diffs = [abs(x - z) for x, z in zip(a, b)]
