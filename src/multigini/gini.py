@@ -24,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .sample import WeightedSample, MomentSummary, moments
+from .sample import (
+    MomentSummary,
+    WeightedSample,
+    _checked_points_and_weights,
+    _exact_column_sums,
+    moments,
+)
 from .whitening import fit_whitening
 
 # Size cap (n support points) of the exact double sum used for p != 1; above
@@ -108,37 +114,22 @@ def gini_1d(values, weights=None) -> float:
     """One-dimensional Gini index of a weighted value set.
 
     Returns sum_{a,b} w_a w_b |x_a - x_b| / (2 |mean|), the with-replacement
-    mean absolute difference over twice the absolute mean.  Computed by a
-    single stable sort and prefix sums, O(n log n); ties contribute zero in
-    any order.
+    mean absolute difference over twice the absolute mean.  The flattened
+    values and the weights are checked as :class:`WeightedSample` checks
+    its input, with the same :class:`DataError` messages, but not copied.
+    The mean is the exactly rounded sum of the products w_a x_a, as in
+    :func:`moments`, so it depends neither on the order of the (value,
+    weight) pairs nor on the BLAS thread count.  Computed by a single sort
+    and prefix sums, O(n log n); ties contribute zero in any order.
 
     Raises :class:`NumericalError` if the weighted mean is zero.
     """
-    v = np.asarray(values, dtype=float).reshape(-1)
-    if v.size < 1:
-        raise DataError("empty value set")
-    if not np.all(np.isfinite(v)):
-        raise DataError("values contain non-finite entries")
-    if weights is None:
-        w = np.full(v.size, 1.0 / v.size)
-    else:
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        if w.shape != v.shape:
-            raise DataError(f"expected {v.size} weights, got {w.size}")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise DataError("weights must be finite and non-negative")
-        with np.errstate(over="ignore"):
-            total = w.sum()
-        if total == math.inf:
-            raise DataError("weights sum to more than the largest float")
-        if total <= 0.0:
-            raise DataError("all-zero weights")
-        w = w / total
-    mean = float(w @ v)
+    x, w = _checked_points_and_weights(np.ravel(values), weights)
+    mean = float(_exact_column_sums(x * w[:, None])[0])
     if mean == 0.0:
         raise NumericalError("undefined inequality for zero-mean component")
     # halving is exact, and 2 |mean| overflows for a mean near the largest float
-    return _mean_abs_difference(v, w) / 2.0 / abs(mean)
+    return _mean_abs_difference(x[:, 0], w) / 2.0 / abs(mean)
 
 
 def _equal_weights(w: np.ndarray) -> bool:

@@ -45,37 +45,9 @@ class WeightedSample:
     __slots__ = ("points", "weights")
 
     def __init__(self, points, weights=None):
-        pts = np.array(points, dtype=float, copy=True)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise DataError(f"points must be a non-empty n x d matrix, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise DataError("points contain non-finite values")
-
-        n = pts.shape[0]
-        if weights is None:
-            w = np.full(n, 1.0 / n)
-        else:
-            w = np.array(weights, dtype=float, copy=True).reshape(-1)
-            if w.shape[0] != n:
-                raise DataError(f"expected {n} weights, got {w.shape[0]}")
-            if not np.all(np.isfinite(w)):
-                raise DataError("weights contain non-finite values")
-            if np.any(w < 0):
-                raise DataError("negative weight")
-            # exactly rounded total, so normalization is independent of
-            # support-point order
-            try:
-                total = float(_exact_column_sums(w[:, None])[0])
-            except OverflowError:
-                raise DataError("weights sum to more than the largest float") from None
-            if total <= 0.0:
-                raise DataError("all-zero weights")
-            w = w / total
-
-        self.points = pts
-        self.weights = w
+        self.points, self.weights = _checked_points_and_weights(
+            np.array(points, dtype=float, copy=True), weights
+        )
 
     @property
     def n(self) -> int:
@@ -105,6 +77,40 @@ class WeightedSample:
 
     def __repr__(self) -> str:
         return f"WeightedSample(n={self.n}, dim={self.dim})"
+
+
+def _checked_points_and_weights(points, weights):
+    """Points as a float (n, d) matrix, and weights that sum to one.
+
+    The input rules of :class:`WeightedSample`, checked without a copy (a
+    1-D array becomes a column); each broken rule is a :class:`DataError`.
+    Weights are uniform 1/n when None, else divided by their exactly rounded
+    total, so the normalization does not depend on the order of the points.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+        raise DataError(f"points must be a non-empty n x d matrix, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise DataError("points contain non-finite values")
+    n = pts.shape[0]
+    if weights is None:
+        return pts, np.full(n, 1.0 / n)
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if w.shape[0] != n:
+        raise DataError(f"expected {n} weights, got {w.shape[0]}")
+    if not np.all(np.isfinite(w)):
+        raise DataError("weights contain non-finite values")
+    if np.any(w < 0):
+        raise DataError("negative weight")
+    try:
+        total = float(_exact_column_sums(w[:, None])[0])
+    except OverflowError:
+        raise DataError("weights sum to more than the largest float") from None
+    if total <= 0.0:
+        raise DataError("all-zero weights")
+    return pts, w / total
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -9,11 +10,12 @@ from multigini import WeightedSample
 from multigini.synth import gen_spike_cube, pca_instability_fixture, write_sample_csv
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "multigini", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -442,6 +444,24 @@ class TestReportCommand:
         unnamed = run_cli("report", "--input", str(path), *args)
         assert unnamed.returncode == 0, unnamed.stderr
         assert unnamed.stdout == run_cli("report", "--input", grouped_csv, *args).stdout
+
+    def test_json_bytes_do_not_depend_on_the_blas_pool(self, tmp_path):
+        # OpenBLAS splits a dot product over its threads above 10,000 entries,
+        # so the group has 12,000 rows.  On this seed-0 file a dot-product
+        # mean gave the per-metric Ginis different last digits under the two
+        # pool sizes.
+        rows = np.random.default_rng(0).lognormal(0.0, 1.0, (12_000, 3)).tolist()
+        path = tmp_path / "one-group.csv"
+        path.write_text("group,a,b,c\n" + "".join(
+            f"big,{a!r},{b!r},{c!r}\n" for a, b, c in rows), encoding="utf-8")
+        args = ("report", "--input", str(path), "--columns", "a,b,c", "--p", "1",
+                "--format", "json")
+        outputs = []
+        for threads in ("1", "2"):
+            proc = run_cli(*args, env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestVerifyCommand:

@@ -126,6 +126,22 @@ class TestGini1d:
         with pytest.raises(DataError, match="weights sum to more than the largest float"):
             gini_1d([1.0, 2.0, 3.0], [1e308, 1e308, 1e308])
 
+    @pytest.mark.parametrize("values, weights", [
+        pytest.param([], None, id="empty"),
+        pytest.param([1.0, math.nan], None, id="non-finite-value"),
+        pytest.param([1.0, 2.0], [1.0, math.inf], id="non-finite-weight"),
+        pytest.param([1.0, 2.0], [0.5, -0.1], id="negative-weight"),
+        pytest.param([1.0, 2.0], [1.0, 1.0, 1.0], id="wrong-length"),
+        pytest.param([1.0, 2.0], [0.0, 0.0], id="all-zero-weights"),
+        pytest.param([1.0, 2.0, 3.0], [1e308, 1e308, 1e308], id="overflowing-total"),
+    ])
+    def test_input_rules_are_those_of_weighted_sample(self, values, weights):
+        with pytest.raises(DataError) as from_sample:
+            WeightedSample(values, weights)
+        with pytest.raises(DataError) as from_gini:
+            gini_1d(values, weights)
+        assert str(from_gini.value) == str(from_sample.value)
+
 
 def argsort_route(v, w):
     """The stable argsort route, which unequal weights take, on any weights."""
@@ -193,6 +209,39 @@ class TestSortRoutes:
             slow = brute_force_gini_1d(values, weights)
             # relative: at the 1e6 offset the index is ~1e-7
             assert abs(fast - slow) <= 1e-12 * slow
+
+
+def gini_1d_outcome(values, weights):
+    """The index as ``float.hex``, or the message of the error it raises."""
+    try:
+        return gini_1d(values, weights).hex()
+    except (DataError, NumericalError) as exc:
+        return str(exc)
+
+
+class TestGini1dPermutation:
+    """Permuting the (value, weight) pairs must not change a bit of the index."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(TIED_VALUES, min_size=1, max_size=40),
+        weight=st.sampled_from([None, 2.0, 0.1, 3.0]),
+        data=st.data(),
+    )
+    def test_equal_weights_tied_values(self, values, weight, data):
+        weights = None if weight is None else [weight] * len(values)
+        permuted = data.draw(st.permutations(values))
+        assert gini_1d_outcome(permuted, weights) == gini_1d_outcome(values, weights)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e3)),
+                       min_size=1, max_size=40, unique_by=lambda pair: pair[0]),
+        data=st.data(),
+    )
+    def test_distinct_values_random_weights(self, pairs, data):
+        permuted = data.draw(st.permutations(pairs))
+        assert gini_1d_outcome(*zip(*permuted)) == gini_1d_outcome(*zip(*pairs))
 
 
 def row_pnorm_distance(ya, yb, p):
