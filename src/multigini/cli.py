@@ -215,6 +215,13 @@ def _add_csv_flags(parser) -> None:
     parser.add_argument("--columns", required=True, help="comma-separated metric column names")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="multigini", description="Scale-invariant multivariate Gini indices")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -244,9 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gini.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
                         help="largest n the exact double sum (p != 1) accepts; exact p=1 is "
                              "O(n log n) and uncapped")
-    p_gini.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    p_gini.add_argument("--threads", type=int, default=_usable_cpus(),
                         help="worker threads for the exact double sum, used only for p != 1 "
-                             "(default: all cores; never changes printed values)")
+                             "(default: the CPUs this process may run on; never changes "
+                             "printed values)")
     p_gini.add_argument("--format", choices=("table", "json"), default="table")
     p_gini.set_defaults(func=cmd_gini)
 

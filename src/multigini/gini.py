@@ -19,6 +19,7 @@ an identity at finite n rather than an approximation.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,6 +234,40 @@ def _pnorm_of_differences(operands, p: float, acc: np.ndarray, term: np.ndarray)
     return acc
 
 
+def _cpu_pinner(threads: int):
+    """Pool initializer pinning each worker thread to its own CPU, or None.
+
+    Two threads started by a fresh process often share one CPU for their
+    first few tenths of a second, which can be the whole double sum.  So
+    when ``threads`` workers span this process's CPU mask (of at least two
+    CPUs), each worker is pinned to one CPU of it, in round-robin order.
+    With fewer workers than CPUs they stay unpinned, so that concurrent jobs
+    do not pile onto the first CPUs.  Only the worker threads are pinned,
+    and they end with the pool; a worker that cannot be pinned runs
+    unpinned.  Pinning moves work, never a chunk or the reduction order.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2 or threads < len(cpus):
+        return None
+    import itertools
+    import threading
+
+    order = itertools.cycle(cpus)
+    lock = threading.Lock()
+
+    def pin() -> None:
+        with lock:
+            cpu = next(order)
+        try:
+            os.sched_setaffinity(0, {cpu})  # pid 0: the calling thread alone
+        except OSError:
+            pass
+
+    return pin
+
+
 def _exact_mean_distance(y: np.ndarray, w: np.ndarray, p: float, threads: int) -> float:
     """sum_{a,b} w_a w_b ||y_a - y_b||_p, chunked with a fixed reduction order.
 
@@ -240,7 +275,8 @@ def _exact_mean_distance(y: np.ndarray, w: np.ndarray, p: float, threads: int) -
     diagonal block in full, and the block to its right twice (the sum is
     symmetric).  Distances come from :func:`_pnorm_of_differences` on 2-D
     blocks.  Chunk boundaries depend only on n, and partial sums are reduced
-    in chunk order, so the result is identical for any thread count.
+    in chunk order, so the result is identical for any thread count, and
+    whether :func:`_cpu_pinner` pins the workers or not.
     """
     n = y.shape[0]
     columns = np.ascontiguousarray(y.T)
@@ -261,7 +297,7 @@ def _exact_mean_distance(y: np.ndarray, w: np.ndarray, p: float, threads: int) -
         # imported here, so that commands without a parallel double sum skip it
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=threads, initializer=_cpu_pinner(threads)) as pool:
             partials = list(pool.map(part, chunks))
     else:
         partials = [part(sl) for sl in chunks]

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from multigini import WeightedSample
+from multigini.cli import build_parser
+from multigini.gini import _exact_chunks
 from multigini.synth import gen_spike_cube, pca_instability_fixture, write_sample_csv
 
 
@@ -23,6 +25,14 @@ def run_cli(*args, env=None):
 def spike_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "spike.csv"
     write_sample_csv(gen_spike_cube(0.2, 3), path, ["m1", "m2", "m3"], rows=125)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def lognormal_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "lognormal.csv"
+    sample = WeightedSample(np.random.default_rng(17).lognormal(0.0, 0.6, (1500, 3)))
+    write_sample_csv(sample, path, ["m1", "m2", "m3"])
     return str(path)
 
 
@@ -223,14 +233,32 @@ class TestGiniCommand:
         combined = sum(w * g for w, g in zip(payload["weights"], payload["component_ginis"]))
         assert abs(combined - payload["value"]) <= 1e-12
 
-    def test_thread_count_does_not_change_output(self, spike_csv):
+    def test_thread_count_does_not_change_output(self, spike_csv, lognormal_csv):
         base = ("gini", "--input", spike_csv, "--columns", "m1,m2,m3", "--format", "json")
         pairs = ("--estimator", "pairs", "--pairs", "30000", "--seed", "5")
-        for args in (base, (*base, *pairs, "--p", "1.5"), (*base, *pairs, "--p", "2")):
+        # 1,500 rows: the exact double sum has 9 chunks, more than 4 workers
+        exact = ("gini", "--input", lognormal_csv, "--columns", "m1,m2,m3", "--format", "json")
+        assert len(_exact_chunks(1500)) > 4
+        for args in (base, (*base, *pairs, "--p", "1.5"), (*base, *pairs, "--p", "2"),
+                     (*exact, "--p", "2"), (*exact, "--p", "1.5")):
             one = run_cli(*args, "--threads", "1")
             four = run_cli(*args, "--threads", "4")
             assert one.returncode == four.returncode == 0
             assert one.stdout == four.stdout
+
+    def test_threads_default_to_the_usable_cpus(self, monkeypatch):
+        argv = ["gini", "--input", "x.csv", "--columns", "a"]
+        if hasattr(os, "sched_getaffinity"):
+            assert build_parser().parse_args(argv).threads == len(os.sched_getaffinity(0))
+            # a restricted cpuset, not the machine's core count
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5, 9})
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
+            assert build_parser().parse_args(argv).threads == 3
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert build_parser().parse_args(argv).threads == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert build_parser().parse_args(argv).threads == 1
 
     def test_pairs_estimator_prints_seed(self, spike_csv):
         proc = run_cli(

@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -662,6 +664,94 @@ class TestGiniP:
             gini_p(singular, 2.0)
         with pytest.raises(DataError, match=message):
             gini_p(singular, 2.0, **arguments)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity here")
+class TestWorkerPinning:
+    """The double sum's workers get one CPU each only when they span the CPU mask."""
+
+    @pytest.fixture
+    def sample(self):
+        sample = WeightedSample(np.random.default_rng(43).lognormal(0.0, 0.5, (2000, 3)))
+        assert len(_exact_chunks(sample.n)) > 8
+        return sample.points, sample.weights
+
+    @staticmethod
+    def worker_masks(monkeypatch) -> dict:
+        """The CPU mask of each thread that computes a chunk, by thread id."""
+        masks = {}
+        kernel = gini_module._pnorm_of_differences
+
+        def recording(*args):
+            masks[threading.get_ident()] = frozenset(os.sched_getaffinity(0))
+            return kernel(*args)
+
+        monkeypatch.setattr(gini_module, "_pnorm_of_differences", recording)
+        return masks
+
+    @staticmethod
+    def pins(monkeypatch, mask) -> list:
+        """Pretend the process mask is ``mask`` and record each pin instead of making it."""
+        calls = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask))
+        monkeypatch.setattr(
+            os, "sched_setaffinity",
+            lambda pid, cpus: calls.append((threading.get_ident(), pid, frozenset(cpus))),
+        )
+        return calls
+
+    @pytest.fixture
+    def mask(self):
+        mask = os.sched_getaffinity(0)
+        if len(mask) < 2:
+            pytest.skip("this process may run on one CPU only")
+        return mask
+
+    def test_workers_spanning_the_mask_get_a_cpu_each(self, sample, mask, monkeypatch):
+        masks = self.worker_masks(monkeypatch)
+        _exact_mean_distance(*sample, 2.0, len(mask))
+        workers = [m for ident, m in masks.items() if ident != threading.get_ident()]
+        assert workers
+        assert all(len(m) == 1 and m <= mask for m in workers)
+        assert len(set(workers)) == len(workers)
+
+    def test_caller_keeps_its_mask(self, sample, mask):
+        value = _exact_mean_distance(*sample, 2.0, len(mask))
+        assert os.sched_getaffinity(0) == mask
+        assert value == _exact_mean_distance(*sample, 2.0, 1)
+
+    @pytest.mark.parametrize("cpus, threads", [((0, 2, 4, 6), 2), ((0, 2, 4, 6), 3), ((5,), 4)])
+    def test_no_pin_below_the_mask_size_or_on_one_cpu(self, sample, cpus, threads, monkeypatch):
+        calls = self.pins(monkeypatch, cpus)
+        _exact_mean_distance(*sample, 2.0, threads)
+        assert calls == []
+
+    @pytest.mark.parametrize("threads", [4, 9])
+    def test_pins_go_round_robin_over_the_mask(self, sample, threads, monkeypatch):
+        cpus = (1, 3, 6, 7)
+        calls = self.pins(monkeypatch, cpus)
+        _exact_mean_distance(*sample, 2.0, threads)
+        assert calls
+        assert len({ident for ident, _, _ in calls}) == len(calls) <= threads
+        assert threading.get_ident() not in {ident for ident, _, _ in calls}
+        assert all(pid == 0 and len(pinned) == 1 for _, pid, pinned in calls)
+        counts = [sum(pinned == {cpu} for _, _, pinned in calls) for cpu in cpus]
+        # handed out in mask order, so the first CPUs are taken first
+        assert counts == sorted(counts, reverse=True) and counts[0] - counts[-1] <= 1
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
+    def test_refused_pin_leaves_the_value(self, sample, p, monkeypatch):
+        expected = _exact_mean_distance(*sample, p, 1)
+        refused = []
+
+        def refuse(pid, cpus):
+            refused.append(cpus)
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        assert _exact_mean_distance(*sample, p, 2) == expected
+        assert refused
 
 
 def outlier_sample():
