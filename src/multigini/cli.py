@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .gini import DEFAULT_EXACT_CAP, gini_p
+from .gini import DEFAULT_EXACT_CAP, gini_p, usable_cpus
 from .report import (
     build_report,
     correlation_json,
@@ -215,13 +214,6 @@ def _add_csv_flags(parser) -> None:
     parser.add_argument("--columns", required=True, help="comma-separated metric column names")
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="multigini", description="Scale-invariant multivariate Gini indices")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -251,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gini.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
                         help="largest n the exact double sum (p != 1) accepts; exact p=1 is "
                              "O(n log n) and uncapped")
-    p_gini.add_argument("--threads", type=int, default=_usable_cpus(),
+    p_gini.add_argument("--threads", type=int, default=len(usable_cpus()),
                         help="worker threads for the exact double sum, used only for p != 1 "
                              "(default: the CPUs this process may run on; never changes "
                              "printed values)")

@@ -234,22 +234,32 @@ def _pnorm_of_differences(operands, p: float, acc: np.ndarray, term: np.ndarray)
     return acc
 
 
-def _cpu_pinner(threads: int):
-    """Pool initializer pinning each worker thread to its own CPU, or None.
+def usable_cpus() -> list[int]:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else ``range(os.cpu_count())``."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
+def _cpu_pinner():
+    """Pool initializer pinning each worker thread to one CPU, or None.
 
     Two threads started by a fresh process often share one CPU for their
-    first few tenths of a second, which can be the whole double sum.  So
-    when ``threads`` workers span this process's CPU mask (of at least two
-    CPUs), each worker is pinned to one CPU of it, in round-robin order.
-    With fewer workers than CPUs they stay unpinned, so that concurrent jobs
-    do not pile onto the first CPUs.  Only the worker threads are pinned,
-    and they end with the pool; a worker that cannot be pinned runs
-    unpinned.  Pinning moves work, never a chunk or the reduction order.
+    first few tenths of a second, which can be the whole double sum.  On a
+    mask of exactly two CPUs, the only width on which pinning was measured
+    (it roughly halved a short p = 2 sum), the workers are pinned to the
+    mask's CPUs in round-robin order.  On wider masks they stay unpinned:
+    there, concurrent jobs would each pin their first worker to the first
+    CPU, and a pinned worker on a busy CPU cannot move away.  Only the
+    worker threads are pinned, and they end with the pool; a worker that
+    cannot be pinned runs unpinned.  Pinning moves work, never a chunk or
+    the reduction order.
     """
     if not hasattr(os, "sched_setaffinity"):
         return None
-    cpus = sorted(os.sched_getaffinity(0))
-    if len(cpus) < 2 or threads < len(cpus):
+    cpus = usable_cpus()
+    if len(cpus) != 2:
         return None
     import itertools
     import threading
@@ -297,7 +307,7 @@ def _exact_mean_distance(y: np.ndarray, w: np.ndarray, p: float, threads: int) -
         # imported here, so that commands without a parallel double sum skip it
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads, initializer=_cpu_pinner(threads)) as pool:
+        with ThreadPoolExecutor(max_workers=threads, initializer=_cpu_pinner()) as pool:
             partials = list(pool.map(part, chunks))
     else:
         partials = [part(sl) for sl in chunks]

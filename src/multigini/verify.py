@@ -28,6 +28,7 @@ from .gini import (
     gini_1d,
     gini_1_decomposed,
     gini_p,
+    usable_cpus,
 )
 from .sample import MomentSummary, WeightedSample, cholesky_lower, moments, sym_eigen
 from .synth import (
@@ -256,7 +257,7 @@ def _run_cli(args: list[str]) -> subprocess.CompletedProcess:
 def check_cli_end_to_end(seed: int, tamper: bool) -> tuple[bool, str]:
     """Exported spike fixture through the CLI gives 0.8; thread count changes nothing."""
     sample = gen_spike_cube(0.2, 3)
-    threads = str(max(os.cpu_count() or 1, 2))
+    threads = str(max(len(usable_cpus()), 2))
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         # 1000 rows span several chunks of the p=2 double sum, so threads share it

@@ -668,7 +668,7 @@ class TestGiniP:
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity here")
 class TestWorkerPinning:
-    """The double sum's workers get one CPU each only when they span the CPU mask."""
+    """The double sum's workers get one CPU each, on a CPU mask of exactly two CPUs."""
 
     @pytest.fixture
     def sample(self):
@@ -703,8 +703,8 @@ class TestWorkerPinning:
     @pytest.fixture
     def mask(self):
         mask = os.sched_getaffinity(0)
-        if len(mask) < 2:
-            pytest.skip("this process may run on one CPU only")
+        if len(mask) != 2:
+            pytest.skip("workers are pinned on a two-CPU mask only")
         return mask
 
     def test_workers_spanning_the_mask_get_a_cpu_each(self, sample, mask, monkeypatch):
@@ -720,15 +720,18 @@ class TestWorkerPinning:
         assert os.sched_getaffinity(0) == mask
         assert value == _exact_mean_distance(*sample, 2.0, 1)
 
-    @pytest.mark.parametrize("cpus, threads", [((0, 2, 4, 6), 2), ((0, 2, 4, 6), 3), ((5,), 4)])
-    def test_no_pin_below_the_mask_size_or_on_one_cpu(self, sample, cpus, threads, monkeypatch):
+    @pytest.mark.parametrize(
+        "cpus, threads",
+        [((0, 2, 4, 6), 2), ((0, 2, 4, 6), 3), ((0, 2, 4, 6), 4), ((0, 2, 4, 6), 9), ((5,), 4)],
+    )
+    def test_no_pin_unless_the_mask_has_two_cpus(self, sample, cpus, threads, monkeypatch):
         calls = self.pins(monkeypatch, cpus)
         _exact_mean_distance(*sample, 2.0, threads)
         assert calls == []
 
-    @pytest.mark.parametrize("threads", [4, 9])
+    @pytest.mark.parametrize("threads", [2, 4, 9])
     def test_pins_go_round_robin_over_the_mask(self, sample, threads, monkeypatch):
-        cpus = (1, 3, 6, 7)
+        cpus = (3, 6)
         calls = self.pins(monkeypatch, cpus)
         _exact_mean_distance(*sample, 2.0, threads)
         assert calls
