@@ -400,7 +400,8 @@ def gini_p(
     compute a p-norm one whitened component at a time, in component order.
 
     Arguments are checked before any moment or fit, so a bad ``estimator``,
-    ``pairs`` or ``seed`` is a :class:`DataError` even on a singular sample.
+    ``pairs``, ``seed``, ``threads`` or ``exact_cap`` is a :class:`DataError`
+    even on a singular sample.
     Raises :class:`NumericalError` when the whitened mean is zero, or when p
     is so large that |x|^p over- or underflows (the normalizer is zero or
     infinite for a nonzero whitened mean, or the distance sum is not finite).
@@ -408,6 +409,8 @@ def gini_p(
     p = _validate_p(p)
     if threads < 1:
         raise DataError(f"threads must be >= 1, got {threads}")
+    if exact_cap < 0:
+        raise DataError(f"exact cap must be >= 0, got {exact_cap}")
     if estimator == "pairs":
         if pairs < 1:
             raise DataError("pair count must be positive")

@@ -70,10 +70,10 @@ class InequalityReport:
 
 @dataclass(frozen=True)
 class PanelTable:
-    """Columnar panel: an (n, d) float matrix and one group label per row."""
+    """Columnar panel: an (n, d) float matrix and one group label per row, or None."""
 
     values: np.ndarray
-    groups: np.ndarray
+    groups: np.ndarray | None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -197,6 +197,8 @@ def panelize(table: PanelTable, min_group_size: int = 2) -> PanelSet:
     """
     if min_group_size < 2:
         raise DataError(f"min_group_size must be >= 2, got {min_group_size}")
+    if table.groups is None:
+        raise DataError("the table has no group labels; load it with a group column")
     if len(table.groups) != len(table):
         raise DataError(f"expected {len(table)} group labels, got {len(table.groups)}")
     # a dict codes labels as Python strings: np.unique on a fixed-width string
@@ -323,23 +325,20 @@ def report_to_dict(report: InequalityReport) -> dict:
             {
                 "group": row.group,
                 "n": row.n,
-                "gini": (
-                    None
-                    if row.metric_ginis is None
-                    else {name: row.metric_ginis[j] for j, name in enumerate(report.metrics)}
-                ),
+                "gini": None if row.metric_ginis is None else dict(zip(report.metrics, row.metric_ginis)),
                 "g1": row.g1,
-                "weights": (
-                    None
-                    if row.weights is None
-                    else {name: row.weights[j] for j, name in enumerate(report.metrics)}
-                ),
+                "weights": None if row.weights is None else dict(zip(report.metrics, row.weights)),
                 "negativity_warning": row.negativity_warning,
                 "error": row.error,
             }
             for row in report.rows
         ],
     }
+
+
+def _index_values(row: GroupRow, d: int) -> list:
+    """A row's index values in column order (d metric Ginis, g1, d weights), None where missing."""
+    return [*(row.metric_ginis or [None] * d), row.g1, *(row.weights or [None] * d)]
 
 
 def _format_table(report: InequalityReport) -> str:
@@ -351,25 +350,20 @@ def _format_table(report: InequalityReport) -> str:
     lines += correlation_lines(metrics, report.correlation, name_width)
     lines += ["", "Inequality by group"]
     group_width = max(len("group"), *(len(r.group) for r in report.rows))
+    d = len(metrics)
+    names = [f"gini_{m}" for m in metrics] + ["g1"] + [f"w_{m}" for m in metrics]
+    # a Gini column is at least 10 wide, the g1 and weight columns at least 8
+    widths = [max(10, len(name)) for name in names[:d]] + [max(8, len(name)) for name in names[d:]]
     head = [f"{'group':<{group_width}}", f"{'n':>6}"]
-    head += [f"{'gini_' + m:>{max(10, len(m) + 5)}}" for m in metrics]
-    head.append(f"{'g1':>8}")
-    head += [f"{'w_' + m:>{max(8, len(m) + 2)}}" for m in metrics]
-    head.append("note")
-    lines.append("  ".join(head))
+    head += [f"{name:>{width}}" for name, width in zip(names, widths)]
+    lines.append("  ".join(head + ["note"]))
     for row in report.rows:
         cells = [f"{row.group:<{group_width}}", f"{row.n:>6}"]
-        for j, name in enumerate(metrics):
-            width = max(10, len(name) + 5)
-            value = None if row.metric_ginis is None else row.metric_ginis[j]
-            cells.append(f"{value:>{width}.3f}" if value is not None else f"{'-':>{width}}")
-        cells.append(f"{row.g1:>8.3f}" if row.g1 is not None else f"{'-':>8}")
-        for j, name in enumerate(metrics):
-            width = max(8, len(name) + 2)
-            value = None if row.weights is None else row.weights[j]
-            cells.append(f"{value:>{width}.3f}" if value is not None else f"{'-':>{width}}")
-        note = row.error or ("negativity" if row.negativity_warning else "")
-        cells.append(note)
+        cells += [
+            f"{'-':>{width}}" if value is None else f"{value:>{width}.3f}"
+            for value, width in zip(_index_values(row, d), widths)
+        ]
+        cells.append(row.error or ("negativity" if row.negativity_warning else ""))
         lines.append("  ".join(cells).rstrip())
     return "\n".join(lines) + "\n"
 
@@ -392,22 +386,12 @@ def _csv_record(cells) -> str:
 
 def _format_csv(report: InequalityReport) -> str:
     metrics = report.metrics
-    lines = [_csv_record(
-        ["group", "n"]
-        + [f"gini_{m}" for m in metrics]
-        + ["g1"]
-        + [f"weight_{m}" for m in metrics]
-        + ["negativity_warning", "error"]
-    )]
+    names = [f"gini_{m}" for m in metrics] + ["g1"] + [f"weight_{m}" for m in metrics]
+    lines = [_csv_record(["group", "n", *names, "negativity_warning", "error"])]
     for row in report.rows:
         cells = [row.group, str(row.n)]
-        for j in range(len(metrics)):
-            cells.append("" if row.metric_ginis is None else repr(row.metric_ginis[j]))
-        cells.append("" if row.g1 is None else repr(row.g1))
-        for j in range(len(metrics)):
-            cells.append("" if row.weights is None else repr(row.weights[j]))
-        cells.append("true" if row.negativity_warning else "false")
-        cells.append(row.error or "")
+        cells += ["" if value is None else repr(value) for value in _index_values(row, len(metrics))]
+        cells += ["true" if row.negativity_warning else "false", row.error or ""]
         lines.append(_csv_record(cells))
     return "".join(lines)
 

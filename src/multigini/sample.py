@@ -169,12 +169,10 @@ def _derive_scale_structure(cov: np.ndarray, mean: np.ndarray) -> dict:
         corr = cov / np.outer(sd, sd)
     corr = np.clip(corr, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
-    if degenerate.any():
-        idx = np.flatnonzero(degenerate)
-        corr[idx, :] = np.nan
-        corr[:, idx] = np.nan
-        return {"variances": var, "correlation": corr, "zero_variance": tuple(int(i) for i in idx)}
-    return {"variances": var, "correlation": corr, "zero_variance": ()}
+    idx = np.flatnonzero(degenerate)
+    corr[idx, :] = np.nan
+    corr[:, idx] = np.nan
+    return {"variances": var, "correlation": corr, "zero_variance": tuple(int(i) for i in idx)}
 
 
 def _exact_column_sums(x: np.ndarray) -> np.ndarray:
@@ -263,13 +261,15 @@ class EigenDecomposition:
         return (z * self.eigenvalues) @ z.T
 
 
-def _check_symmetric(a: np.ndarray, rtol: float = 1e-10) -> None:
+def _check_symmetric(a: np.ndarray, rtol: float = 1e-10) -> float:
+    """max|a - a^T| of a square matrix, a DataError above rtol * max(1, max|a|)."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DataError(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.abs(a).max()))
     asym = float(np.abs(a - a.T).max())
     if asym > rtol * scale:
         raise DataError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+    return asym
 
 
 def sym_eigen(matrix) -> EigenDecomposition:
@@ -281,8 +281,7 @@ def sym_eigen(matrix) -> EigenDecomposition:
     :class:`NumericalError` if the iteration fails.
     """
     a = np.asarray(matrix, dtype=float)
-    _check_symmetric(a)
-    asym = float(np.abs(a - a.T).max())
+    asym = _check_symmetric(a)
     a = 0.5 * (a + a.T)
     try:
         vals, vecs = np.linalg.eigh(a)

@@ -138,6 +138,14 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr == "multigini: data error: seed must be >= 0, got -1\n"
 
+    def test_negative_exact_cap_is_data_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("name,group,a,b\nw,g,1,3\nx,g,2,5\ny,g,4,4\nz,g,3,9\n", encoding="utf-8")
+        proc = run_cli("gini", "--input", str(path), "--columns", "a,b", "--exact-cap", "-3", "--p", "2")
+        assert proc.returncode == 2
+        assert proc.stderr == "multigini: data error: exact cap must be >= 0, got -3\n"
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [("--pairs", "0", "pair count must be positive"), ("--seed", "-3", "seed must be >= 0, got -3")],

@@ -656,6 +656,8 @@ class TestGiniP:
             ({"estimator": "pairs", "pairs": 0}, "pair count must be positive"),
             ({"estimator": "pairs", "seed": -3}, "seed must be >= 0, got -3"),
             ({"estimator": "bootstrap"}, "unknown estimator 'bootstrap'"),
+            ({"exact_cap": -3}, "exact cap must be >= 0, got -3"),
+            ({"estimator": "pairs", "exact_cap": -1}, "exact cap must be >= 0, got -1"),
         ],
     )
     def test_argument_errors_come_before_numerical_ones(self, arguments, message):

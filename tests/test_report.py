@@ -314,6 +314,15 @@ class TestPanelize:
         with pytest.raises(DataError, match="group labels"):
             panelize(table(["A", "A"], np.ones((3, 2))))
 
+    def test_table_without_labels_is_data_error(self, tmp_path):
+        path = write(tmp_path / "t.csv", "a,b\n1,3\n2,5\n4,4\n3,9\n")
+        unlabelled, dropped = load_csv(path, ["a", "b"], group_column=None)
+        assert unlabelled.groups is None and len(unlabelled) == 4 and dropped == 0
+        with pytest.raises(DataError, match="no group labels"):
+            panelize(unlabelled)
+        with pytest.raises(DataError, match="no group labels"):
+            panelize(PanelTable(np.ones((3, 2)), None))
+
     def test_labels_order_as_python_strings(self):
         # a fixed-width numpy string array would merge "a" and "a\x00"
         labels = ["é", "a\x00", "", "a", "Z", "a", "", "é", "a\x00", "Z"]
@@ -550,3 +559,302 @@ class TestSerialize:
     def test_dict_key_order_stable(self):
         payload = report_to_dict(build_report(spike_panels()))
         assert list(payload) == ["p", "metrics", "summary", "correlation", "rows"]
+
+
+def format_panels():
+    """Four groups of four rows, one per kind of row a report can hold.
+
+    "Korea, Republic of" is a plain row whose label needs CSV quoting;
+    "flat" has a constant column, so no g1 and no weights, with a note;
+    "signed" has negative entries, so the negativity flag; "zero mean" has a
+    zero-mean column, so no metric Ginis (and at p = 1 no g1).  Within each
+    group, and pooled, the columns are uncorrelated and the values dyadic,
+    so the moments are exact and the whitening matrices diagonal.
+    """
+    groups = {
+        "Korea, Republic of": [(1.0, 2.0), (3.0, 2.0), (1.0, 4.0), (3.0, 4.0)],
+        "flat": [(0.5, 7.0), (0.5, 7.0), (1.5, 7.0), (1.5, 7.0)],
+        "signed": [(-1.0, 1.0), (3.0, 1.0), (-1.0, 5.0), (3.0, 5.0)],
+        "zero mean": [(-1.0, 2.0), (1.0, 2.0), (-1.0, 4.0), (1.0, 4.0)],
+    }
+    return PanelSet(
+        groups={label: WeightedSample(rows) for label, rows in groups.items()},
+        pooled=WeightedSample([row for rows in groups.values() for row in rows]),
+    )
+
+
+_EXPECTED_P1_TABLE = """\
+Summary statistics (pooled)
+metric                       mean           std
+cap                     1.000e+00     1.436e+00
+employees_worldwide     4.000e+00     2.121e+00
+
+Correlation matrix (pooled)
+                          cap  employees_worldwide
+cap                     1.000     0.000
+employees_worldwide     0.000     1.000
+
+Inequality by group
+group                    n    gini_cap  gini_employees_worldwide        g1     w_cap  w_employees_worldwide  note
+Korea, Republic of       4       0.250                     0.167     0.200     0.400                  0.600
+flat                     4       0.250                     0.000         -         -                      -  zero variance in component(s) [1]; correlation whitening is undefined
+signed                   4       1.000                     0.333     0.500     0.250                  0.750  negativity
+zero mean                4           -                         -         -         -                      -  undefined inequality for zero-mean component; whitened component(s) [0] have zero mean; their one-dimensional index is undefined
+All                     16       0.797                     0.297     0.432     0.270                  0.730  negativity
+"""
+
+
+_EXPECTED_P1_CSV = """\
+group,n,gini_cap,gini_employees_worldwide,g1,weight_cap,weight_employees_worldwide,negativity_warning,error
+"Korea, Republic of",4,0.25,0.16666666666666666,0.2,0.4,0.6,false,
+flat,4,0.25,0.0,,,,false,zero variance in component(s) [1]; correlation whitening is undefined
+signed,4,1.0,0.3333333333333333,0.5,0.25,0.75,true,
+zero mean,4,,,,,,false,undefined inequality for zero-mean component; whitened component(s) [0] have zero mean; their one-dimensional index is undefined
+All,16,0.796875,0.296875,0.43171811591147263,0.26968623182294527,0.7303137681770547,true,
+"""
+
+
+_EXPECTED_P1_JSON = """\
+{
+  "p": 1.0,
+  "metrics": [
+    "cap",
+    "employees_worldwide"
+  ],
+  "summary": {
+    "cap": {
+      "mean": 1.0,
+      "std": 1.4361406616345072
+    },
+    "employees_worldwide": {
+      "mean": 4.0,
+      "std": 2.1213203435596424
+    }
+  },
+  "correlation": [
+    [
+      1.0,
+      0.0
+    ],
+    [
+      0.0,
+      1.0
+    ]
+  ],
+  "rows": [
+    {
+      "group": "Korea, Republic of",
+      "n": 4,
+      "gini": {
+        "cap": 0.25,
+        "employees_worldwide": 0.16666666666666666
+      },
+      "g1": 0.2,
+      "weights": {
+        "cap": 0.4,
+        "employees_worldwide": 0.6
+      },
+      "negativity_warning": false,
+      "error": null
+    },
+    {
+      "group": "flat",
+      "n": 4,
+      "gini": {
+        "cap": 0.25,
+        "employees_worldwide": 0.0
+      },
+      "g1": null,
+      "weights": null,
+      "negativity_warning": false,
+      "error": "zero variance in component(s) [1]; correlation whitening is undefined"
+    },
+    {
+      "group": "signed",
+      "n": 4,
+      "gini": {
+        "cap": 1.0,
+        "employees_worldwide": 0.3333333333333333
+      },
+      "g1": 0.5,
+      "weights": {
+        "cap": 0.25,
+        "employees_worldwide": 0.75
+      },
+      "negativity_warning": true,
+      "error": null
+    },
+    {
+      "group": "zero mean",
+      "n": 4,
+      "gini": null,
+      "g1": null,
+      "weights": null,
+      "negativity_warning": false,
+      "error": "undefined inequality for zero-mean component; whitened component(s) [0] have zero mean; their one-dimensional index is undefined"
+    },
+    {
+      "group": "All",
+      "n": 16,
+      "gini": {
+        "cap": 0.796875,
+        "employees_worldwide": 0.296875
+      },
+      "g1": 0.43171811591147263,
+      "weights": {
+        "cap": 0.26968623182294527,
+        "employees_worldwide": 0.7303137681770547
+      },
+      "negativity_warning": true,
+      "error": null
+    }
+  ]
+}
+"""
+
+
+_EXPECTED_P2_TABLE = """\
+Summary statistics (pooled)
+metric                       mean           std
+cap                     1.000e+00     1.436e+00
+employees_worldwide     4.000e+00     2.121e+00
+
+Correlation matrix (pooled)
+                          cap  employees_worldwide
+cap                     1.000     0.000
+employees_worldwide     0.000     1.000
+
+Inequality by group
+group                    n    gini_cap  gini_employees_worldwide        g1     w_cap  w_employees_worldwide  note
+Korea, Republic of       4       0.250                     0.167     0.237         -                      -
+flat                     4       0.250                     0.000         -         -                      -  zero variance in component(s) [1]; correlation whitening is undefined
+signed                   4       1.000                     0.333     0.540         -                      -  negativity
+zero mean                4           -                         -     0.285         -                      -  undefined inequality for zero-mean component
+All                     16       0.797                     0.297     0.441         -                      -  negativity
+"""
+
+
+_EXPECTED_P2_CSV = """\
+group,n,gini_cap,gini_employees_worldwide,g1,weight_cap,weight_employees_worldwide,negativity_warning,error
+"Korea, Republic of",4,0.25,0.16666666666666666,0.2367331166253993,,,false,
+flat,4,0.25,0.0,,,,false,zero variance in component(s) [1]; correlation whitening is undefined
+signed,4,1.0,0.3333333333333333,0.5398345637668168,,,true,
+zero mean,4,,,0.2845177968644246,,,true,undefined inequality for zero-mean component
+All,16,0.796875,0.296875,0.4414779013275652,,,true,
+"""
+
+
+_EXPECTED_P2_JSON = """\
+{
+  "p": 2.0,
+  "metrics": [
+    "cap",
+    "employees_worldwide"
+  ],
+  "summary": {
+    "cap": {
+      "mean": 1.0,
+      "std": 1.4361406616345072
+    },
+    "employees_worldwide": {
+      "mean": 4.0,
+      "std": 2.1213203435596424
+    }
+  },
+  "correlation": [
+    [
+      1.0,
+      0.0
+    ],
+    [
+      0.0,
+      1.0
+    ]
+  ],
+  "rows": [
+    {
+      "group": "Korea, Republic of",
+      "n": 4,
+      "gini": {
+        "cap": 0.25,
+        "employees_worldwide": 0.16666666666666666
+      },
+      "g1": 0.2367331166253993,
+      "weights": null,
+      "negativity_warning": false,
+      "error": null
+    },
+    {
+      "group": "flat",
+      "n": 4,
+      "gini": {
+        "cap": 0.25,
+        "employees_worldwide": 0.0
+      },
+      "g1": null,
+      "weights": null,
+      "negativity_warning": false,
+      "error": "zero variance in component(s) [1]; correlation whitening is undefined"
+    },
+    {
+      "group": "signed",
+      "n": 4,
+      "gini": {
+        "cap": 1.0,
+        "employees_worldwide": 0.3333333333333333
+      },
+      "g1": 0.5398345637668168,
+      "weights": null,
+      "negativity_warning": true,
+      "error": null
+    },
+    {
+      "group": "zero mean",
+      "n": 4,
+      "gini": null,
+      "g1": 0.2845177968644246,
+      "weights": null,
+      "negativity_warning": true,
+      "error": "undefined inequality for zero-mean component"
+    },
+    {
+      "group": "All",
+      "n": 16,
+      "gini": {
+        "cap": 0.796875,
+        "employees_worldwide": 0.296875
+      },
+      "g1": 0.4414779013275652,
+      "weights": null,
+      "negativity_warning": true,
+      "error": null
+    }
+  ]
+}
+"""
+
+
+class TestSerializedBytes:
+    """Every byte of each format, the table's widths and "-" cells and the CSV's empty cells too.
+
+    The second metric name is wider than the default column.  The pooled
+    g1 at p = 2 comes from the double sum's BLAS dot products, whose last
+    digit depends on the BLAS kernel: the expected digits are those of
+    OpenBLAS's FMA kernels (Haswell and later); its pre-FMA kernels
+    (OPENBLAS_CORETYPE=Sandybridge) print 0.44147790132756515.
+    """
+
+    @pytest.mark.parametrize(
+        "p, fmt, expected",
+        [
+            (1.0, "table", _EXPECTED_P1_TABLE),
+            (1.0, "csv", _EXPECTED_P1_CSV),
+            (1.0, "json", _EXPECTED_P1_JSON),
+            (2.0, "table", _EXPECTED_P2_TABLE),
+            (2.0, "csv", _EXPECTED_P2_CSV),
+            (2.0, "json", _EXPECTED_P2_JSON),
+        ],
+    )
+    def test_serialized_report(self, p, fmt, expected):
+        report = build_report(format_panels(), p, metric_names=["cap", "employees_worldwide"])
+        assert serialize_report(report, fmt) == expected
