@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
-
-import numpy as np
 
 from .errors import DataError, NumericalError
 from .gini import DEFAULT_EXACT_CAP, gini_p, usable_cpus
@@ -26,6 +23,7 @@ from .report import (
     load_metric_columns,
     panelize,
     serialize_report,
+    summary_json,
     summary_lines,
 )
 from .sample import WeightedSample, moments
@@ -76,25 +74,14 @@ def _load_sample(args) -> tuple[list[str], WeightedSample]:
     return columns, WeightedSample(matrix)
 
 
-def _matrix_lines(matrix: np.ndarray) -> list[str]:
-    return ["  ".join(f"{v:>12.6f}" for v in row) for row in matrix]
-
-
 def cmd_summary(args) -> int:
     columns, sample = _load_sample(args)
     m = moments(sample)
-    std = [math.sqrt(v) for v in m.variances]
     if args.format == "json":
-        payload = {
-            "n": sample.n,
-            "summary": {
-                name: {"mean": float(m.mean[j]), "std": std[j]} for j, name in enumerate(columns)
-            },
-        }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"n": sample.n, "summary": summary_json(columns, m)}, indent=2))
         return EXIT_OK
     print(f"n: {sample.n}")
-    print("\n".join(summary_lines(columns, m.mean, std, max(len("metric"), *map(len, columns)))))
+    print("\n".join(summary_lines(columns, m, max(len("metric"), *map(len, columns)))))
     return EXIT_OK
 
 
@@ -160,8 +147,8 @@ def cmd_whiten(args) -> int:
         return EXIT_OK
     print(f"method: {args.method}")
     print("whitening matrix:")
-    for line in _matrix_lines(transform.matrix):
-        print(f"  {line}")
+    for row in transform.matrix:
+        print("  " + "  ".join(f"{v:>12.6f}" for v in row))
     print(f"whiteness residual: {transform.whiteness_residual:.6e}")
     if deviation is not None:
         print(f"scale stability deviation (q={args.q}): {deviation:.6e}")

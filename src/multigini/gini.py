@@ -32,7 +32,7 @@ from .sample import (
     _exact_column_sums,
     moments,
 )
-from .whitening import fit_whitening
+from .whitening import _check_method, fit_whitening
 
 # Size cap (n support points) of the exact double sum used for p != 1; above
 # this, pair sampling is the intended route.  ~2e8 pair evaluations per
@@ -105,7 +105,10 @@ class GiniResult:
 
 
 def _validate_p(p) -> float:
-    p = float(p)
+    try:
+        p = float(p)
+    except (TypeError, ValueError):
+        raise DataError(f"p must be a number, got {p!r}") from None
     if math.isnan(p) or p < 1.0:
         raise DataError(f"p must be >= 1 (or inf), got {p}")
     return p
@@ -399,14 +402,15 @@ def gini_p(
     floor(u n) for equal weights.  Both estimators, and the normalizer,
     compute a p-norm one whitened component at a time, in component order.
 
-    Arguments are checked before any moment or fit, so a bad ``estimator``,
-    ``pairs``, ``seed``, ``threads`` or ``exact_cap`` is a :class:`DataError`
-    even on a singular sample.
+    Arguments are checked before any moment or fit, so a bad ``p``,
+    ``method``, ``estimator``, ``pairs``, ``seed``, ``threads`` or
+    ``exact_cap`` is a :class:`DataError` even on a singular sample.
     Raises :class:`NumericalError` when the whitened mean is zero, or when p
     is so large that |x|^p over- or underflows (the normalizer is zero or
     infinite for a nonzero whitened mean, or the distance sum is not finite).
     """
     p = _validate_p(p)
+    _check_method(method)
     if threads < 1:
         raise DataError(f"threads must be >= 1, got {threads}")
     if exact_cap < 0:

@@ -47,24 +47,22 @@ class PanelSet:
 
 @dataclass(frozen=True)
 class GroupRow:
+    """One group's per-metric Ginis and index; ``result`` is None when ``error`` says why."""
+
     group: str
     n: int
     metric_ginis: tuple | None = None
-    g1: float | None = None
-    weights: tuple | None = None
-    negativity_warning: bool = False
+    result: GiniResult | None = None
     error: str | None = None
 
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """Grouped inequality table with pooled summary and correlation."""
+    """Grouped inequality rows with the pooled sample's moments."""
 
     p: float
     metrics: tuple
-    summary_mean: tuple
-    summary_std: tuple
-    correlation: np.ndarray
+    pooled: MomentSummary
     rows: tuple = field(default_factory=tuple)
 
 
@@ -243,20 +241,11 @@ def _row_for_sample(
         result = _index(sample, p, m)
     except (NumericalError, DataError) as exc:
         notes.append(str(exc))
-    weights = None if result is None else result.weights
-    return GroupRow(
-        group=label,
-        n=sample.n,
-        metric_ginis=metric_ginis,
-        g1=None if result is None else result.value,
-        weights=None if weights is None else tuple(float(v) for v in weights),
-        negativity_warning=result is not None and result.negativity_warning,
-        error="; ".join(notes) or None,
-    )
+    return GroupRow(label, sample.n, metric_ginis, result, "; ".join(notes) or None)
 
 
 def build_report(panels: PanelSet, p: float = 1.0, metric_names=None) -> InequalityReport:
-    """Per-group inequality rows plus pooled summary statistics.
+    """Per-group inequality rows plus the pooled sample's moments.
 
     Rows are ordered by group name with the pooled row last.  Groups whose
     covariance is singular get an error note instead of aborting; an
@@ -277,14 +266,7 @@ def build_report(panels: PanelSet, p: float = 1.0, metric_names=None) -> Inequal
         for name, sample in sorted(panels.groups.items())
     ]
     rows.append(_row_for_sample(POOLED_LABEL, panels.pooled, p, pooled_moments))
-    return InequalityReport(
-        p=p,
-        metrics=metric_names,
-        summary_mean=tuple(float(v) for v in pooled_moments.mean),
-        summary_std=tuple(float(math.sqrt(v)) for v in pooled_moments.variances),
-        correlation=pooled_moments.correlation,
-        rows=tuple(rows),
-    )
+    return InequalityReport(p=p, metrics=metric_names, pooled=pooled_moments, rows=tuple(rows))
 
 
 def correlation_json(correlation) -> list:
@@ -292,10 +274,22 @@ def correlation_json(correlation) -> list:
     return [[float(v) if math.isfinite(v) else None for v in row] for row in correlation]
 
 
-def summary_lines(names, mean, std, width: int) -> list[str]:
-    """Header and one row per metric of the mean / std table, names padded to width."""
+def _mean_std(m: MomentSummary) -> list:
+    """(mean, standard deviation) of each component of the moments m, as floats."""
+    return [(float(mean), math.sqrt(variance)) for mean, variance in zip(m.mean, m.variances)]
+
+
+def summary_json(names, m: MomentSummary) -> dict:
+    """Each metric's mean and standard deviation in m, as a JSON object per name."""
+    return {name: {"mean": mean, "std": std} for name, (mean, std) in zip(names, _mean_std(m))}
+
+
+def summary_lines(names, m: MomentSummary, width: int) -> list[str]:
+    """Header and one row per metric of the mean / std table of m, names padded to width."""
     lines = [f"{'metric':<{width}}  {'mean':>12}  {'std':>12}"]
-    lines += [f"{name:<{width}}  {mean[j]:>12.3e}  {std[j]:>12.3e}" for j, name in enumerate(names)]
+    lines += [
+        f"{name:<{width}}  {mean:>12.3e}  {std:>12.3e}" for name, (mean, std) in zip(names, _mean_std(m))
+    ]
     return lines
 
 
@@ -316,38 +310,47 @@ def report_to_dict(report: InequalityReport) -> dict:
     return {
         "p": report.p if math.isfinite(report.p) else "inf",
         "metrics": list(report.metrics),
-        "summary": {
-            name: {"mean": report.summary_mean[j], "std": report.summary_std[j]}
-            for j, name in enumerate(report.metrics)
-        },
-        "correlation": correlation_json(report.correlation),
-        "rows": [
-            {
-                "group": row.group,
-                "n": row.n,
-                "gini": None if row.metric_ginis is None else dict(zip(report.metrics, row.metric_ginis)),
-                "g1": row.g1,
-                "weights": None if row.weights is None else dict(zip(report.metrics, row.weights)),
-                "negativity_warning": row.negativity_warning,
-                "error": row.error,
-            }
-            for row in report.rows
-        ],
+        "summary": summary_json(report.metrics, report.pooled),
+        "correlation": correlation_json(report.pooled.correlation),
+        "rows": [_row_json(row, report.metrics) for row in report.rows],
     }
 
 
-def _index_values(row: GroupRow, d: int) -> list:
-    """A row's index values in column order (d metric Ginis, g1, d weights), None where missing."""
-    return [*(row.metric_ginis or [None] * d), row.g1, *(row.weights or [None] * d)]
+def _row_json(row: GroupRow, metrics) -> dict:
+    d = len(metrics)
+    values, warned = _index_values(row, d)
+    g1, weights = values[d], values[d + 1:]
+    return {
+        "group": row.group,
+        "n": row.n,
+        "gini": None if row.metric_ginis is None else dict(zip(metrics, row.metric_ginis)),
+        "g1": g1,
+        "weights": None if None in weights else dict(zip(metrics, weights)),
+        "negativity_warning": warned,
+        "error": row.error,
+    }
+
+
+def _index_values(row: GroupRow, d: int) -> tuple[list, bool]:
+    """A row's index values in column order, None where missing, and its negativity flag.
+
+    The columns are the d metric Ginis, g1 and the d weights; each value is a float.
+    """
+    ginis = row.metric_ginis or [None] * d
+    result = row.result
+    if result is None:
+        return [*ginis, *[None] * (d + 1)], False
+    weights = [None] * d if result.weights is None else result.weights.tolist()
+    return [*ginis, result.value, *weights], result.negativity_warning
 
 
 def _format_table(report: InequalityReport) -> str:
     metrics = report.metrics
     name_width = max(len("metric"), *(len(m) for m in metrics))
     lines = ["Summary statistics (pooled)"]
-    lines += summary_lines(metrics, report.summary_mean, report.summary_std, name_width)
+    lines += summary_lines(metrics, report.pooled, name_width)
     lines += ["", "Correlation matrix (pooled)"]
-    lines += correlation_lines(metrics, report.correlation, name_width)
+    lines += correlation_lines(metrics, report.pooled.correlation, name_width)
     lines += ["", "Inequality by group"]
     group_width = max(len("group"), *(len(r.group) for r in report.rows))
     d = len(metrics)
@@ -358,12 +361,13 @@ def _format_table(report: InequalityReport) -> str:
     head += [f"{name:>{width}}" for name, width in zip(names, widths)]
     lines.append("  ".join(head + ["note"]))
     for row in report.rows:
+        values, warned = _index_values(row, d)
         cells = [f"{row.group:<{group_width}}", f"{row.n:>6}"]
         cells += [
             f"{'-':>{width}}" if value is None else f"{value:>{width}.3f}"
-            for value, width in zip(_index_values(row, d), widths)
+            for value, width in zip(values, widths)
         ]
-        cells.append(row.error or ("negativity" if row.negativity_warning else ""))
+        cells.append(row.error or ("negativity" if warned else ""))
         lines.append("  ".join(cells).rstrip())
     return "\n".join(lines) + "\n"
 
@@ -389,9 +393,9 @@ def _format_csv(report: InequalityReport) -> str:
     names = [f"gini_{m}" for m in metrics] + ["g1"] + [f"weight_{m}" for m in metrics]
     lines = [_csv_record(["group", "n", *names, "negativity_warning", "error"])]
     for row in report.rows:
-        cells = [row.group, str(row.n)]
-        cells += ["" if value is None else repr(value) for value in _index_values(row, len(metrics))]
-        cells += ["true" if row.negativity_warning else "false", row.error or ""]
+        values, warned = _index_values(row, len(metrics))
+        cells = [row.group, str(row.n), *("" if value is None else repr(value) for value in values)]
+        cells += ["true" if warned else "false", row.error or ""]
         lines.append(_csv_record(cells))
     return "".join(lines)
 

@@ -658,6 +658,7 @@ class TestGiniP:
             ({"estimator": "bootstrap"}, "unknown estimator 'bootstrap'"),
             ({"exact_cap": -3}, "exact cap must be >= 0, got -3"),
             ({"estimator": "pairs", "exact_cap": -1}, "exact cap must be >= 0, got -1"),
+            ({"method": "bogus"}, "unknown whitening method 'bogus'"),
         ],
     )
     def test_argument_errors_come_before_numerical_ones(self, arguments, message):
@@ -666,6 +667,19 @@ class TestGiniP:
             gini_p(singular, 2.0)
         with pytest.raises(DataError, match=message):
             gini_p(singular, 2.0, **arguments)
+        # the covariance of this sample overflows, so its moments fail too
+        overflowing = WeightedSample([[1e308, 1.0], [-1e308, 2.0], [0.0, 3.0]])
+        with pytest.raises(NumericalError, match=r"covariance overflows in component\(s\) \[0\]"):
+            gini_p(overflowing, 2.0)
+        with pytest.raises(DataError, match=message):
+            gini_p(overflowing, 2.0, **arguments)
+
+    def test_p_that_is_not_a_number_is_a_data_error(self):
+        sample = gen_spike_cube(0.3, 2)
+        for p in (None, "abc", [1.0, 2.0]):
+            with pytest.raises(DataError, match=re.escape(f"p must be a number, got {p!r}")):
+                gini_p(sample, p)
+        assert gini_p(sample, "2").value == gini_p(sample, 2.0).value
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity here")

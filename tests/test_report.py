@@ -360,11 +360,11 @@ class TestBuildReport:
         assert row.group == "All"
         for value in row.metric_ginis:
             assert value == pytest.approx(0.8, abs=1e-10)
-        assert row.g1 == pytest.approx(0.8, abs=1e-10)
+        assert row.result.value == pytest.approx(0.8, abs=1e-10)
 
     def test_pipeline_identity_through_panels(self):
         report = build_report(spike_panels())
-        assert report.rows[0].g1 == pytest.approx(0.8, abs=1e-10)
+        assert report.rows[0].result.value == pytest.approx(0.8, abs=1e-10)
 
     def test_rows_sorted_with_pooled_last(self):
         rng = np.random.default_rng(61)
@@ -376,15 +376,15 @@ class TestBuildReport:
         rng = np.random.default_rng(62)
         report = build_report(panelize(table(["g"] * 30, rng.lognormal(0, 0.5, (30, 3)))))
         for row in report.rows:
-            assert abs(sum(row.weights) - 1.0) <= 1e-12
+            assert abs(sum(row.result.weights) - 1.0) <= 1e-12
 
     def test_indices_in_unit_interval_absent_warnings(self):
         rng = np.random.default_rng(63)
         report = build_report(panelize(table(["g"] * 60, rng.lognormal(0, 0.8, (60, 3)))))
         for row in report.rows:
-            if row.negativity_warning:
+            if row.result.negativity_warning:
                 continue
-            for value in (*row.metric_ginis, row.g1):
+            for value in (*row.metric_ginis, row.result.value):
                 assert 0.0 <= value <= 1.0
 
     def test_singular_group_gets_error_note(self):
@@ -394,9 +394,9 @@ class TestBuildReport:
         report = build_report(panelize(table(["good"] * 10 + ["bad"] * 5, [*good, *bad])))
         by_group = {row.group: row for row in report.rows}
         assert by_group["bad"].error is not None
-        assert by_group["bad"].g1 is None
+        assert by_group["bad"].result is None
         assert by_group["good"].error is None
-        assert by_group["good"].g1 is not None
+        assert by_group["good"].result is not None
 
     def test_group_above_exact_cap_gets_note_at_p2(self):
         rng = np.random.default_rng(65)
@@ -406,10 +406,10 @@ class TestBuildReport:
         by_group = {row.group: row for row in report.rows}
         for label in ("big", "All"):
             assert "capped" in by_group[label].error
-            assert by_group[label].g1 is None
+            assert by_group[label].result is None
             assert by_group[label].metric_ginis is not None
         assert by_group["small"].error is None
-        assert by_group["small"].g1 is not None
+        assert by_group["small"].result is not None
 
     def test_summary_and_correlation_from_pooled(self):
         panels = spike_panels()
@@ -417,11 +417,11 @@ class TestBuildReport:
         from multigini import moments
 
         pooled = moments(panels.pooled)
-        np.testing.assert_allclose(report.summary_mean, pooled.mean, atol=1e-14)
+        np.testing.assert_allclose(report.pooled.mean, pooled.mean, atol=1e-14)
         np.testing.assert_allclose(
-            report.summary_std, np.sqrt(pooled.variances), atol=1e-14
+            np.sqrt(report.pooled.variances), np.sqrt(pooled.variances), atol=1e-14
         )
-        np.testing.assert_allclose(report.correlation, pooled.correlation, atol=1e-14)
+        np.testing.assert_allclose(report.pooled.correlation, pooled.correlation, atol=1e-14)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_moments_once_per_sample(self, monkeypatch, p):
@@ -441,14 +441,23 @@ class TestBuildReport:
         assert sorted(seen) == sorted(id(sample) for sample in samples)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
-    def test_pooled_row_is_the_public_index(self, p):
+    def test_every_row_is_the_public_index(self, p):
         rng = np.random.default_rng(67)
         groups = [group for group in ("a", "b") for _ in range(10)]
         panels = panelize(table(groups, rng.lognormal(0, 0.5, (20, 3))))
-        pooled = build_report(panels, p=p).rows[-1]
-        expected = gini_1_decomposed(panels.pooled) if p == 1.0 else gini_p(panels.pooled, p)
-        assert pooled.g1 == expected.value
-        assert pooled.weights == (None if p != 1.0 else tuple(expected.weights.tolist()))
+        report = build_report(panels, p=p)
+        assert [row.group for row in report.rows] == ["a", "b", "All"]
+        samples = [panels.groups["a"], panels.groups["b"], panels.pooled]
+
+        def listed(array):
+            return None if array is None else array.tolist()
+
+        for row, sample in zip(report.rows, samples):
+            expected = gini_1_decomposed(sample) if p == 1.0 else gini_p(sample, p)
+            assert row.result.value == expected.value
+            assert listed(row.result.weights) == listed(expected.weights)
+            assert listed(row.result.component_ginis) == listed(expected.component_ginis)
+            assert row.result.worst_negative == expected.worst_negative
 
     def test_metric_name_count_checked(self):
         with pytest.raises(DataError, match="metric names"):
@@ -459,11 +468,15 @@ class TestBuildReport:
         with pytest.raises(DataError, match="p must be >= 1"):
             build_report(spike_panels(), p=p)
 
+    def test_p_that_is_not_a_number_is_a_data_error(self):
+        with pytest.raises(DataError, match="p must be a number, got None"):
+            build_report(spike_panels(), p=None)
+
     def test_other_orders_have_no_weights(self):
         report = build_report(spike_panels(), p=2.0)
         row = report.rows[-1]
-        assert row.weights is None
-        assert row.g1 is not None
+        assert row.result.weights is None
+        assert row.result.value is not None
 
     def test_max_norm_order_serializes(self):
         import math
@@ -522,8 +535,8 @@ class TestSerialize:
         report = build_report(spike_panels())
         payload = json.loads(serialize_report(report, "json"))
         row = payload["rows"][-1]
-        assert row["g1"] == report.rows[-1].g1
-        assert payload["summary"]["metric0"]["mean"] == report.summary_mean[0]
+        assert row["g1"] == report.rows[-1].result.value
+        assert payload["summary"]["metric0"]["mean"] == report.pooled.mean[0]
 
     def test_json_byte_deterministic(self):
         a = serialize_report(build_report(spike_panels()), "json")
