@@ -107,7 +107,7 @@ class GiniResult:
 def _validate_p(p) -> float:
     try:
         p = float(p)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DataError(f"p must be a number, got {p!r}") from None
     if math.isnan(p) or p < 1.0:
         raise DataError(f"p must be >= 1 (or inf), got {p}")

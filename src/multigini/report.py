@@ -82,10 +82,11 @@ def _read_csv(path, metric_columns, positive, group_column=None, name_column=Non
 
     The name column, when given, is required but not read.  As with
     ``csv.DictReader``, a repeated header name means its last occurrence and
-    blank lines are skipped.  A row is dropped and counted when a metric cell
-    is missing, non-numeric or non-finite, or with ``positive`` not positive.
-    A byte that is not UTF-8, or a record the csv module rejects, anywhere in
-    the file is a DataError.
+    blank lines are skipped.  Every other row becomes a matrix row, nan where
+    a metric cell is missing or rejected by ``float``.  It is dropped and
+    counted exactly when ``keep`` is False there: a cell is non-finite, or
+    with ``positive`` not positive.  A byte that is not UTF-8, or a record
+    the csv module rejects, anywhere in the file is a DataError.
     Metric cells are collected as text and converted by ``float`` in batches
     of ``_CELL_BATCH`` cells into a typed buffer of 8 bytes per value.
     Returns ``(matrix, labels, dropped)``; labels is None without a group column.
@@ -115,40 +116,36 @@ def _read_csv(path, metric_columns, positive, group_column=None, name_column=Non
                 # one index returns a str, whose characters += would add
                 cells_of = lambda row, cell=cells_of: (cell(row),)
             group_index = index.get(group_column)
-            cells, labels, unparsed, unparsed_rows = [], [], 0, set()
+            cells, labels, missing = [], [], ("",) * d
             for row in reader:
                 try:
                     cells += cells_of(row)
                 except IndexError:
-                    # a short row; a blank line is skipped, not counted
-                    unparsed += bool(row)
-                    continue
+                    if not row:
+                        continue  # a blank line is skipped, not counted
+                    cells += missing
                 if group_index is not None:
                     labels.append(row[group_index].strip() if group_index < len(row) else "")
                 if len(cells) >= _CELL_BATCH:
-                    _convert_cells(cells, values, d, unparsed_rows)
+                    _convert_cells(cells, values)
                     cells.clear()
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
-    _convert_cells(cells, values, d, unparsed_rows)
+    _convert_cells(cells, values)
     matrix = np.frombuffer(values).reshape(-1, d)
     keep = np.isfinite(matrix).all(axis=1)
     if positive:
         keep &= (matrix > 0.0).all(axis=1)
-    unparsed += len(unparsed_rows)
-    # a row with a rejected cell holds a nan, so keep is False there too
-    unusable = int(keep.size - np.count_nonzero(keep)) - len(unparsed_rows)
-    dropped = unparsed + unusable
+    dropped = int(keep.size - np.count_nonzero(keep))
     if not keep.any():
         raise DataError(f"no usable rows in {path} ({dropped} dropped)")
     labels = None if group_index is None else np.array(labels, dtype=object)[keep]
     return matrix[keep], labels, dropped
 
 
-def _convert_cells(cells, values: array, d: int, unparsed_rows: set) -> None:
+def _convert_cells(cells, values: array) -> None:
     """Append ``float`` of each cell to ``values``; a rejected cell appends nan.
 
-    The row (position // d) of a rejected cell goes into ``unparsed_rows``.
     On the ValueError, CPython's ``array.extend`` keeps the items it appended
     before it, so the conversion resumes on the same iterator after the cell.
     """
@@ -158,7 +155,6 @@ def _convert_cells(cells, values: array, d: int, unparsed_rows: set) -> None:
             values.extend(converted)
             return
         except ValueError:
-            unparsed_rows.add(len(values) // d)
             values.append(math.nan)
 
 
@@ -261,6 +257,9 @@ def build_report(panels: PanelSet, p: float = 1.0, metric_names=None) -> Inequal
     metric_names = tuple(str(name) for name in metric_names)
     if len(metric_names) != dim:
         raise DataError(f"expected {dim} metric names, got {len(metric_names)}")
+    for j, name in enumerate(metric_names):
+        if name in metric_names[:j]:
+            raise DataError(f"metric name {name!r} listed twice")
     rows = [
         _row_for_sample(name, sample, p)
         for name, sample in sorted(panels.groups.items())

@@ -679,6 +679,9 @@ class TestGiniP:
         for p in (None, "abc", [1.0, 2.0]):
             with pytest.raises(DataError, match=re.escape(f"p must be a number, got {p!r}")):
                 gini_p(sample, p)
+        # an int too large for a float overflows float(p)
+        with pytest.raises(DataError, match="p must be a number, got 1000"):
+            gini_p(sample, 10**400)
         assert gini_p(sample, "2").value == gini_p(sample, 2.0).value
 
 

@@ -173,6 +173,20 @@ class TestLoadCsv:
         assert dropped == 0
         assert panel.groups.tolist() == ["", "y"]
 
+    def test_line_endings(self, tmp_path):
+        lines = ["name,group,a,b", "A,x,1,2", "", "B,x,3", "C,y,4,5", "D,y,n/a,1", "E", "F,z,6,7"]
+        read = []
+        for name, ending in [("lf.csv", "\n"), ("crlf.csv", "\r\n")]:
+            path = tmp_path / name
+            path.write_bytes(ending.join(lines + [""]).encode())
+            panel, dropped = load_csv(path, ["a", "b"])
+            matrix, metric_dropped = load_metric_columns(path, ["a", "b"])
+            read.append((panel.values.tolist(), panel.groups.tolist(), dropped,
+                         matrix.tolist(), metric_dropped))
+        assert read[0] == read[1]
+        assert read[0] == ([[1.0, 2.0], [4.0, 5.0], [6.0, 7.0]], ["x", "y", "z"], 3,
+                           [[1.0, 2.0], [4.0, 5.0], [6.0, 7.0]], 3)
+
     def test_bom_header(self, tmp_path):
         path = write(tmp_path / "data.csv", "\ufeffname,group,rev\nA,x,1\nB,x,2\n")
         panel, dropped = load_csv(path, ["rev"])
@@ -275,13 +289,12 @@ class TestReaderAgainstRowLoop:
         assert got_dropped == dropped
 
     def test_rejected_cells_resume_the_batch(self):
-        values, unparsed_rows = array("d", [7.0, 8.0]), set()
+        values = array("d", [7.0, 8.0])
         # rejected cells first, last, side by side and twice in one row
         cells = ["x", "1", "y", "z", "2", "3", "4", "w"]
-        multigini.report._convert_cells(cells, values, 2, unparsed_rows)
+        multigini.report._convert_cells(cells, values)
         assert [v if math.isfinite(v) else "nan" for v in values.tolist()] == [
             7.0, 8.0, "nan", 1.0, "nan", "nan", 2.0, 3.0, 4.0, "nan"]
-        assert unparsed_rows == {1, 2, 4}
 
 
 class TestPanelize:
@@ -463,6 +476,14 @@ class TestBuildReport:
         with pytest.raises(DataError, match="metric names"):
             build_report(spike_panels(), metric_names=["a"])
 
+    def test_repeated_metric_name_is_a_data_error(self):
+        # the JSON writer keys each row's Ginis and weights by name, so a
+        # repeated name would drop a metric without an error
+        with mock.patch.object(multigini.report, "_row_for_sample") as row_for_sample:
+            with pytest.raises(DataError, match="metric name 'm' listed twice"):
+                build_report(spike_panels(), metric_names=["m", "x", "m"])
+        row_for_sample.assert_not_called()
+
     @pytest.mark.parametrize("p", [0.5, float("nan")])
     def test_invalid_p_rejected_before_any_row(self, p):
         with pytest.raises(DataError, match="p must be >= 1"):
@@ -471,6 +492,8 @@ class TestBuildReport:
     def test_p_that_is_not_a_number_is_a_data_error(self):
         with pytest.raises(DataError, match="p must be a number, got None"):
             build_report(spike_panels(), p=None)
+        with pytest.raises(DataError, match="p must be a number, got 1000"):
+            build_report(spike_panels(), p=10**400)
 
     def test_other_orders_have_no_weights(self):
         report = build_report(spike_panels(), p=2.0)
