@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .sample import (
     _exact_column_sums,
     moments,
 )
-from .whitening import _check_method, fit_whitening
+from .whitening import WhiteningTransform, _check_method, fit_whitening
 
 # Size cap (n support points) of the exact double sum used for p != 1; above
 # this, pair sampling is the intended route.  ~2e8 pair evaluations per
@@ -40,13 +40,13 @@ from .whitening import _check_method, fit_whitening
 DEFAULT_EXACT_CAP = 20_000
 
 # Fixed evaluation chunk sizes.  These are constants (never derived from the
-# thread count), so results are bit-identical however the work is scheduled.
-# A double-sum chunk of ~2^18 doubles (2 MiB) stays cache resident.
+# thread count), so chunk boundaries, and with them the printed bits, depend
+# only on n (for the double sum) or on the pair count (for the sampler).
 _EXACT_CHUNK_ELEMENTS = 1 << 18
 _PAIR_CHUNK = 1 << 18
 
 # At a large finite p, |x|^p overflows to inf (and inf times a zero weight is
-# nan) under this numpy error state, without a warning; ``_gini_p`` turns a
+# nan) under this numpy error state, without a warning; ``gini_p`` turns a
 # non-finite normalizer or distance sum into a NumericalError.
 _LARGE_P_QUIET = {"over": "ignore", "invalid": "ignore"}
 
@@ -62,6 +62,8 @@ class GiniResult:
     pair-sampling estimator.  ``worst_negative`` is the most negative
     whitened entry when the negativity diagnostic fired (see
     :func:`worst_negative`), and ``negativity_warning`` says whether it did.
+    ``transform`` is the fitted whitening, whose ``fitted_moments`` are the
+    sample's moments; it is not part of ``to_dict``.
     """
 
     p: float
@@ -75,6 +77,7 @@ class GiniResult:
     seed: int | None = None
     std_error: float | None = None
     worst_negative: float | None = None
+    transform: WhiteningTransform | None = field(default=None, repr=False, compare=False)
 
     @property
     def negativity_warning(self) -> bool:
@@ -195,11 +198,12 @@ def _whitened_mean_norm(m_star: np.ndarray, p: float) -> float:
 
 
 def _whitened(
-    sample: WeightedSample, method: str, m: MomentSummary
-) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened points y and whitened mean m*, fitted on the sample's moments m."""
+    sample: WeightedSample, method: str
+) -> tuple[WhiteningTransform, np.ndarray, np.ndarray]:
+    """The transform fitted on the sample's moments, the whitened points y and mean m*."""
+    m = moments(sample)
     transform = fit_whitening(method, m)
-    return transform.apply(sample), transform.matrix @ m.mean
+    return transform, transform.apply(sample), transform.matrix @ m.mean
 
 
 def _exact_chunks(n: int) -> list[slice]:
@@ -386,8 +390,8 @@ def gini_p(
     """Multivariate Gini-type index of order p.
 
     Whitens the sample with the requested scale stable transform (fitted on
-    the sample's own moments), then evaluates the expected whitened pair
-    distance over twice the whitened-mean p-norm.
+    the sample's own moments, and returned in ``transform``), then evaluates
+    the expected whitened pair distance over twice the whitened-mean p-norm.
 
     estimator="exact" is exact up to roundoff.  For p = 1 it sums the
     per-component mean absolute differences, each by one sort and prefix
@@ -404,7 +408,8 @@ def gini_p(
 
     Arguments are checked before any moment or fit, so a bad ``p``,
     ``method``, ``estimator``, ``pairs``, ``seed``, ``threads`` or
-    ``exact_cap`` is a :class:`DataError` even on a singular sample.
+    ``exact_cap``, or a sample above ``exact_cap`` for the exact estimator
+    at p != 1, is a :class:`DataError` even on a singular sample.
     Raises :class:`NumericalError` when the whitened mean is zero, or when p
     is so large that |x|^p over- or underflows (the normalizer is zero or
     infinite for a nonzero whitened mean, or the distance sum is not finite).
@@ -422,9 +427,52 @@ def gini_p(
             raise DataError(f"seed must be >= 0, got {seed}")
     elif estimator != "exact":
         raise DataError(f"unknown estimator {estimator!r}; choose 'exact' or 'pairs'")
-    return _gini_p(
-        sample, moments(sample), p, method=method, estimator=estimator, pairs=pairs,
-        seed=seed, exact_cap=exact_cap, threads=threads,
+    elif p != 1.0 and sample.n > exact_cap:
+        raise DataError(
+            f"exact estimator capped at n={exact_cap} (sample has {sample.n}); "
+            "use the pair-sampling estimator"
+        )
+
+    transform, y, m_star = _whitened(sample, method)
+    w = sample.weights
+    if not np.any(m_star):
+        raise NumericalError("whitened mean has zero p-norm")
+    normalizer = _whitened_mean_norm(m_star, p)
+
+    component_ginis = None
+    if estimator == "exact":
+        if p == 1.0:
+            # the p = 1 distance splits into per-component mean absolute
+            # differences, each O(n log n); no division by a component mean
+            mad = [_mean_abs_difference(column, w) for column in y.T]
+            mean_dist = 0.0
+            for value in mad:
+                mean_dist += value
+            if np.all(m_star != 0.0):
+                component_ginis = np.array(mad) / (2.0 * np.abs(m_star))
+        else:
+            mean_dist = _exact_mean_distance(y, w, p, threads)
+        pair_count = seed_used = std_error = None
+    else:
+        mean_dist, se = _pair_sample_mean_distance(y, w, p, int(pairs), int(seed))
+        pair_count, seed_used, std_error = int(pairs), int(seed), se / (2.0 * normalizer)
+    if not math.isfinite(mean_dist):
+        raise _large_p_error(p)
+
+    weights = np.abs(m_star) / normalizer if p == 1.0 else None
+    return GiniResult(
+        p=p,
+        value=mean_dist / (2.0 * normalizer),
+        normalizer=normalizer,
+        method=method,
+        estimator=estimator,
+        weights=weights,
+        component_ginis=component_ginis,
+        pair_count=pair_count,
+        seed=seed_used,
+        std_error=std_error,
+        worst_negative=worst_negative(y),
+        transform=transform,
     )
 
 
@@ -454,66 +502,6 @@ def _large_p_error(p: float) -> NumericalError:
     )
 
 
-def _gini_p(
-    sample: WeightedSample,
-    m: MomentSummary,
-    p: float,
-    *,
-    method: str = "zca_cor",
-    estimator: str = "exact",
-    pairs: int = 1_000_000,
-    seed: int = 0,
-    exact_cap: int = DEFAULT_EXACT_CAP,
-    threads: int = 1,
-) -> GiniResult:
-    """``gini_p`` with the sample's moments m given, for arguments ``gini_p`` accepts."""
-    y, m_star = _whitened(sample, method, m)
-    w = sample.weights
-    if not np.any(m_star):
-        raise NumericalError("whitened mean has zero p-norm")
-    normalizer = _whitened_mean_norm(m_star, p)
-
-    component_ginis = None
-    if estimator == "exact":
-        if p == 1.0:
-            # the p = 1 distance splits into per-component mean absolute
-            # differences, each O(n log n); no division by a component mean
-            mad = [_mean_abs_difference(column, w) for column in y.T]
-            mean_dist = 0.0
-            for value in mad:
-                mean_dist += value
-            if np.all(m_star != 0.0):
-                component_ginis = np.array(mad) / (2.0 * np.abs(m_star))
-        elif sample.n > exact_cap:
-            raise DataError(
-                f"exact estimator capped at n={exact_cap} (sample has {sample.n}); "
-                "use the pair-sampling estimator"
-            )
-        else:
-            mean_dist = _exact_mean_distance(y, w, p, threads)
-        pair_count = seed_used = std_error = None
-    else:
-        mean_dist, se = _pair_sample_mean_distance(y, w, p, int(pairs), int(seed))
-        pair_count, seed_used, std_error = int(pairs), int(seed), se / (2.0 * normalizer)
-    if not math.isfinite(mean_dist):
-        raise _large_p_error(p)
-
-    weights = np.abs(m_star) / normalizer if p == 1.0 else None
-    return GiniResult(
-        p=p,
-        value=mean_dist / (2.0 * normalizer),
-        normalizer=normalizer,
-        method=method,
-        estimator=estimator,
-        weights=weights,
-        component_ginis=component_ginis,
-        pair_count=pair_count,
-        seed=seed_used,
-        std_error=std_error,
-        worst_negative=worst_negative(y),
-    )
-
-
 def gini_1_decomposed(sample: WeightedSample, *, method: str = "zca_cor") -> GiniResult:
     """Exact G_1 with its decomposition into one-dimensional indices.
 
@@ -522,11 +510,7 @@ def gini_1_decomposed(sample: WeightedSample, *, method: str = "zca_cor") -> Gin
     combined with weights |m*_i| / sum_j |m*_j|.  Unlike ``gini_p``, rejects
     a zero whitened component mean, whose one-dimensional index is undefined.
     """
-    return _decomposed(gini_p(sample, 1.0, method=method))
-
-
-def _decomposed(result: GiniResult) -> GiniResult:
-    """An exact p = 1 result, once its decomposition is checked to be defined."""
+    result = gini_p(sample, 1.0, method=method)
     if result.component_ginis is None:
         zero_mean = np.flatnonzero(result.weights == 0.0)
         raise NumericalError(

@@ -20,15 +20,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .gini import (
-    GiniResult,
-    _decomposed,
-    _gini_p,
-    _validate_p,
-    gini_1_decomposed,
-    gini_1d,
-    gini_p,
-)
+from .gini import GiniResult, _validate_p, gini_1_decomposed, gini_1d, gini_p
 from .sample import MomentSummary, WeightedSample, moments
 
 POOLED_LABEL = "All"
@@ -210,17 +202,7 @@ def panelize(table: PanelTable, min_group_size: int = 2) -> PanelSet:
     return PanelSet(groups=groups, pooled=WeightedSample(table.values))
 
 
-def _index(sample: WeightedSample, p: float, m: MomentSummary | None) -> GiniResult:
-    """A row's G_p (decomposed at p = 1), fitted on the sample's moments m when given."""
-    if m is None:
-        return gini_1_decomposed(sample) if p == 1.0 else gini_p(sample, p)
-    result = _gini_p(sample, m, p)
-    return _decomposed(result) if p == 1.0 else result
-
-
-def _row_for_sample(
-    label: str, sample: WeightedSample, p: float, m: MomentSummary | None = None
-) -> GroupRow:
+def _row_for_sample(label: str, sample: WeightedSample, p: float) -> GroupRow:
     # one degenerate group must not kill the whole report: each part that
     # fails turns into an error note, the rest is kept
     metric_ginis = None
@@ -234,7 +216,7 @@ def _row_for_sample(
         notes.append(str(exc))
     # above the exact cap (p != 1) a DataError is raised, which is one row's note too
     try:
-        result = _index(sample, p, m)
+        result = gini_1_decomposed(sample) if p == 1.0 else gini_p(sample, p)
     except (NumericalError, DataError) as exc:
         notes.append(str(exc))
     return GroupRow(label, sample.n, metric_ginis, result, "; ".join(notes) or None)
@@ -245,12 +227,13 @@ def build_report(panels: PanelSet, p: float = 1.0, metric_names=None) -> Inequal
 
     Rows are ordered by group name with the pooled row last.  Groups whose
     covariance is singular get an error note instead of aborting; an
-    invalid p is a :class:`DataError` before any row.
+    invalid p is a :class:`DataError` before any row.  The pooled moments
+    come from the pooled row's fit, and are computed here only when that
+    row has no index.
     """
     p = _validate_p(p)
     if panels.pooled is None:
         raise DataError("empty panel set")
-    pooled_moments = moments(panels.pooled)
     dim = panels.pooled.dim
     if metric_names is None:
         metric_names = [f"metric{j}" for j in range(dim)]
@@ -264,7 +247,9 @@ def build_report(panels: PanelSet, p: float = 1.0, metric_names=None) -> Inequal
         _row_for_sample(name, sample, p)
         for name, sample in sorted(panels.groups.items())
     ]
-    rows.append(_row_for_sample(POOLED_LABEL, panels.pooled, p, pooled_moments))
+    rows.append(_row_for_sample(POOLED_LABEL, panels.pooled, p))
+    pooled = rows[-1].result
+    pooled_moments = moments(panels.pooled) if pooled is None else pooled.transform.fitted_moments
     return InequalityReport(p=p, metrics=metric_names, pooled=pooled_moments, rows=tuple(rows))
 
 

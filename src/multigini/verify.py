@@ -125,7 +125,7 @@ def check_scale_stability_suite(seed: int, tamper: bool) -> tuple[bool, str]:
 
 def _double_sum_g1(sample: WeightedSample) -> float:
     """G_1 by the pairwise double sum, independent of the per-component sort."""
-    y, m_star = _whitened(sample, "zca_cor", moments(sample))
+    _, y, m_star = _whitened(sample, "zca_cor")
     return _exact_mean_distance(y, sample.weights, 1.0, 1) / (2.0 * float(np.abs(m_star).sum()))
 
 

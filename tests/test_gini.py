@@ -619,12 +619,50 @@ class TestGiniP:
         with pytest.raises(DataError, match="capped"):
             gini_p(sample, 2.0, exact_cap=10)
 
+    def test_exact_cap_comes_before_any_moment(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        sample = WeightedSample(rng.lognormal(0, 0.5, (30, 2)))
+
+        def refuse(sample):
+            raise AssertionError("moments computed for a sample above the exact cap")
+
+        monkeypatch.setattr(gini_module, "moments", refuse)
+        message = "exact estimator capped at n=29 (sample has 30); use the pair-sampling estimator"
+        with pytest.raises(DataError, match=re.escape(message)):
+            gini_p(sample, 2.0, exact_cap=sample.n - 1)
+
+    def test_exact_cap_comes_before_a_singular_fit(self):
+        column = np.arange(1.0, 51.0)
+        singular = WeightedSample(np.column_stack([column, 3.0 * column]))
+        with pytest.raises(NumericalError, match="singular"):
+            gini_p(singular, 2.0)
+        with pytest.raises(DataError, match=re.escape("capped at n=10 (sample has 50)")):
+            gini_p(singular, 2.0, exact_cap=10)
+
     def test_exact_cap_does_not_apply_to_p1(self):
         rng = np.random.default_rng(41)
         sample = WeightedSample(rng.lognormal(0, 0.5, (30, 2)))
         value = gini_p(sample, 1.0, exact_cap=10).value
         transform = fit_whitening("zca_cor", moments(sample))
         assert abs(value - brute_force_gini_p(sample, 1.0, transform)) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["zca_cor", "cholesky"])
+    @pytest.mark.parametrize("p, estimator", [(1.0, "exact"), (2.0, "exact"), (2.0, "pairs")])
+    def test_result_carries_its_fit(self, p, estimator, method):
+        rng = np.random.default_rng(44)
+        sample = WeightedSample(rng.lognormal(0, 0.5, (40, 3)), rng.random(40) + 0.05)
+        result = gini_p(sample, p, method=method, estimator=estimator, pairs=2000)
+        m = moments(sample)
+        fitted = result.transform.fitted_moments
+        assert fitted.mean.tobytes() == m.mean.tobytes()
+        assert fitted.covariance.tobytes() == m.covariance.tobytes()
+        assert result.transform.matrix.tobytes() == fit_whitening(method, m).matrix.tobytes()
+        # the transform stays out of the printed result
+        assert list(result.to_dict()) == [
+            "p", "value", "normalizer", "method", "estimator", "weights", "component_ginis",
+            "pair_count", "seed", "std_error", "negativity_warning", "worst_negative",
+        ]
+        assert "transform" not in repr(result)
 
     def test_unknown_estimator(self):
         sample = gen_spike_cube(0.3, 1)

@@ -411,11 +411,24 @@ class TestBuildReport:
         assert by_group["good"].error is None
         assert by_group["good"].result is not None
 
-    def test_group_above_exact_cap_gets_note_at_p2(self):
+    def test_group_above_exact_cap_gets_note_at_p2(self, monkeypatch):
         rng = np.random.default_rng(65)
         big = DEFAULT_EXACT_CAP + 1
         groups = ["big"] * big + ["small"] * 10
-        report = build_report(panelize(table(groups, rng.lognormal(0, 0.5, (big + 10, 2)))), p=2.0)
+        panels = panelize(table(groups, rng.lognormal(0, 0.5, (big + 10, 2))))
+        seen = []
+
+        def counting(sample):
+            seen.append(id(sample))
+            return multigini.sample.moments(sample)
+
+        monkeypatch.setattr(multigini.report, "moments", counting)
+        monkeypatch.setattr(multigini.gini, "moments", counting)
+        report = build_report(panels, p=2.0)
+        # a capped row computes no moments; the report's summary needs the pooled ones once
+        assert seen.count(id(panels.groups["big"])) == 0
+        assert seen.count(id(panels.groups["small"])) == 1
+        assert seen.count(id(panels.pooled)) == 1
         by_group = {row.group: row for row in report.rows}
         for label in ("big", "All"):
             assert "capped" in by_group[label].error
