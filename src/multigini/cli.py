@@ -59,13 +59,6 @@ def _split(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _number(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise DataError(f"invalid {what} {text!r}") from None
-
-
 def _load_sample(args) -> tuple[list[str], WeightedSample]:
     columns = _split(args.columns)
     matrix, dropped = load_metric_columns(args.input, columns)
@@ -100,7 +93,7 @@ def cmd_gini(args) -> int:
     columns, sample = _load_sample(args)
     result = gini_p(
         sample,
-        _number(args.p, "p value"),
+        args.p,
         method=_METHOD_FLAGS[args.method],
         estimator=args.estimator,
         pairs=args.pairs,
@@ -134,8 +127,7 @@ def cmd_whiten(args) -> int:
     transform = fit_whitening(method, moments(sample))
     deviation = None
     if args.q is not None:
-        q = [_number(v, "scale factor") for v in _split(args.q)]
-        deviation = scale_stability_check(method, sample, q)
+        deviation = scale_stability_check(method, sample, _split(args.q))
     if args.format == "json":
         payload = {
             "method": args.method,
@@ -161,7 +153,7 @@ def cmd_report(args) -> int:
     if dropped:
         print(f"dropped rows: {dropped}", file=sys.stderr)
     panels = panelize(table, min_group_size=args.min_group_size)
-    report = build_report(panels, p=_number(args.p, "p value"), metric_names=columns)
+    report = build_report(panels, p=args.p, metric_names=columns)
     text = serialize_report(report, args.format)
     if args.out:
         try:

@@ -29,6 +29,7 @@ from .sample import (
     MomentSummary,
     WeightedSample,
     _checked_points_and_weights,
+    _equal_weights,
     _exact_column_sums,
     moments,
 )
@@ -137,11 +138,6 @@ def gini_1d(values, weights=None) -> float:
         raise NumericalError("undefined inequality for zero-mean component")
     # halving is exact, and 2 |mean| overflows for a mean near the largest float
     return _mean_abs_difference(x[:, 0], w) / 2.0 / abs(mean)
-
-
-def _equal_weights(w: np.ndarray) -> bool:
-    """Whether every weight equals the first, an O(n) test."""
-    return bool(w[0] == w[-1] and np.all(w == w[0]))
 
 
 def _mean_abs_difference(v: np.ndarray, w: np.ndarray) -> float:

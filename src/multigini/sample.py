@@ -37,7 +37,7 @@ class WeightedSample:
         single-component sample of shape (n, 1).
     weights : array_like, shape (n,), optional
         Non-negative weights with positive sum; normalized to sum to 1 on
-        construction.  Uniform 1/n if omitted.
+        construction.  Exactly 1/n if omitted or all equal.
 
     Duplicate support points are allowed and not merged.
     """
@@ -61,7 +61,10 @@ class WeightedSample:
 
     def scaled(self, q) -> WeightedSample:
         """Return the sample of Q·X for a positive diagonal scaling q."""
-        q = np.asarray(q, dtype=float).reshape(-1)
+        try:
+            q = np.asarray(q, dtype=float).reshape(-1)
+        except (TypeError, ValueError, OverflowError):
+            raise DataError(f"scale factors must be numbers, got {q!r}") from None
         if q.shape[0] != self.dim:
             raise DataError(f"expected {self.dim} scale factors, got {q.shape[0]}")
         if np.any(q <= 0) or not np.all(np.isfinite(q)):
@@ -84,8 +87,9 @@ def _checked_points_and_weights(points, weights):
 
     The input rules of :class:`WeightedSample`, checked without a copy (a
     1-D array becomes a column); each broken rule is a :class:`DataError`.
-    Weights are uniform 1/n when None, else divided by their exactly rounded
-    total, so the normalization does not depend on the order of the points.
+    Weights are exactly 1/n when None or all equal (so normalizing again
+    keeps them), else divided by their exactly rounded total, so the
+    normalization does not depend on the order of the points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -110,7 +114,14 @@ def _checked_points_and_weights(points, weights):
         raise DataError("weights sum to more than the largest float") from None
     if total <= 0.0:
         raise DataError("all-zero weights")
+    if _equal_weights(w):
+        return pts, np.full(n, 1.0 / n)
     return pts, w / total
+
+
+def _equal_weights(w: np.ndarray) -> bool:
+    """Whether every weight equals the first, an O(n) test."""
+    return bool(w[0] == w[-1] and np.all(w == w[0]))
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,31 @@ class TestExitCodes:
         assert spaced.stderr == joined.stderr
         assert "p must be >= 1 (or inf), got -inf" in spaced.stderr
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gini", "--p", "abc"], "p must be a number, got 'abc'"),
+        (["report", "--group-column", "country", "--p", "abc"], "p must be a number, got 'abc'"),
+        (["whiten", "--q", "2,abc"], "scale factors must be numbers, got ['2', 'abc']"),
+    ], ids=["gini", "report", "whiten"])
+    def test_non_numeric_p_or_q_is_the_library_data_error(self, grouped_csv, argv, message):
+        proc = run_cli(argv[0], "--input", grouped_csv, "--columns", "cap,emp,rev", *argv[1:])
+        assert proc.returncode == 2
+        assert proc.stderr == f"multigini: data error: {message}\n"
+
+    def test_p_and_q_text_read_as_python_floats(self, grouped_csv):
+        args = ("--input", grouped_csv, "--columns", "cap,emp,rev", "--format", "json")
+        inf = run_cli("gini", *args, "--p", "inf")
+        overflowing = run_cli("gini", *args, "--p", "1e400")
+        assert inf.returncode == overflowing.returncode == 0
+        assert overflowing.stdout == inf.stdout
+        assert json.loads(inf.stdout)["p"] == "inf"
+        nan = run_cli("gini", *args, "--p", "nan")
+        assert nan.returncode == 2
+        assert nan.stderr == "multigini: data error: p must be >= 1 (or inf), got nan\n"
+        spaced = run_cli("whiten", *args, "--q", " 2 ,1_0, 3")
+        plain = run_cli("whiten", *args, "--q", "2,10,3")
+        assert spaced.returncode == plain.returncode == 0
+        assert spaced.stdout == plain.stdout
+
     @pytest.mark.parametrize("command", ["gini", "report"])
     @pytest.mark.parametrize("offset", ["first row", "after 8 KB"])
     def test_non_utf8_input_is_data_error(self, tmp_path, command, offset):

@@ -17,6 +17,7 @@ from multigini import (
     WeightedSample,
     build_report,
     gini_1_decomposed,
+    gini_1d,
     gini_p,
     load_csv,
     panelize,
@@ -390,6 +391,18 @@ class TestBuildReport:
         report = build_report(panelize(table(["g"] * 30, rng.lognormal(0, 0.5, (30, 3)))))
         for row in report.rows:
             assert abs(sum(row.result.weights) - 1.0) <= 1e-12
+
+    def test_metric_ginis_are_gini_1d_of_the_column(self):
+        # at n = 49, n * fl(1/n) does not round to 1: the group's weights must
+        # not be normalized a second time
+        rng = np.random.default_rng(64)
+        values = rng.lognormal(0.0, 1.0, (65, 3))
+        report = build_report(panelize(table(["a"] * 49 + ["b"] * 16, values)))
+        columns = {"a": values[:49], "b": values[49:], "All": values}
+        for row in report.rows:
+            assert [v.hex() for v in row.metric_ginis] == [
+                gini_1d(column).hex() for column in columns[row.group].T
+            ]
 
     def test_indices_in_unit_interval_absent_warnings(self):
         rng = np.random.default_rng(63)

@@ -81,11 +81,28 @@ class TestWeightedSample:
         with pytest.raises(DataError, match="positive"):
             s.scaled([1.0, 0.0])
 
+    def test_scaled_by_a_non_number_is_data_error(self):
+        s = WeightedSample([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(DataError, match=r"scale factors must be numbers, got \['2', 'x'\]"):
+            s.scaled(["2", "x"])
+
     def test_scaled_and_shifted(self):
         s = WeightedSample([[1.0, 2.0], [3.0, 4.0]], weights=[1.0, 3.0])
         t = s.scaled([2.0, 1.0]).shifted([0.0, -1.0])
         np.testing.assert_allclose(t.points, [[2.0, 1.0], [6.0, 3.0]])
         np.testing.assert_array_equal(t.weights, s.weights)
+
+    # sizes where n * fl(1/n) does not round to 1, so 1/n divided by its total moves
+    @pytest.mark.parametrize("n", [49, 98, 103, 107, 161])
+    def test_one_weight_vector_per_uniform_distribution(self, n):
+        x = np.random.default_rng(n).lognormal(0.0, 1.0, (n, 2))
+        s = WeightedSample(x)
+        uniform = np.full(n, 1.0 / n).tobytes()
+        assert s.weights.tobytes() == uniform
+        assert WeightedSample(x, s.weights).weights.tobytes() == uniform
+        assert s.scaled([2.0, 3.0]).weights.tobytes() == uniform
+        assert s.shifted([1.5, -0.25]).weights.tobytes() == uniform
+        assert WeightedSample(x, [0.1] * n).weights.tobytes() == uniform
 
 
 class TestMoments:
