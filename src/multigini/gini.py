@@ -127,8 +127,8 @@ def gini_1d(values, weights=None) -> float:
     its input, with the same :class:`DataError` messages, but not copied.
     The mean is the exactly rounded sum of the products w_a x_a, as in
     :func:`moments`, so it depends neither on the order of the (value,
-    weight) pairs nor on the BLAS thread count.  Computed by a single sort
-    and prefix sums, O(n log n); ties contribute zero in any order.
+    weight) pairs nor on the BLAS thread count.  Computed by one sort and
+    one exactly rounded sum, O(n log n); ties contribute zero in any order.
 
     Raises :class:`NumericalError` if the weighted mean is zero.
     """
@@ -137,42 +137,42 @@ def gini_1d(values, weights=None) -> float:
     if mean == 0.0:
         raise NumericalError("undefined inequality for zero-mean component")
     # halving is exact, and 2 |mean| overflows for a mean near the largest float
-    return _mean_abs_difference(x[:, 0], w) / 2.0 / abs(mean)
+    return float(_mean_abs_differences(x, w)[0]) / 2.0 / abs(mean)
 
 
-def _mean_abs_difference(v: np.ndarray, w: np.ndarray) -> float:
-    """sum_{a,b} w_a w_b |v_a - v_b| for weights summing to one.
+def _mean_abs_differences(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_{a,b} w_a w_b |y_ak - y_bk| for each column k, for weights summing to one.
 
-    One sort and prefix sums, O(n log n).  When every weight is equal
-    (:func:`_equal_weights`) the values are sorted by ``np.sort`` and ``w``
-    is kept: permuting equal weights leaves the same array, and tied values
-    are equal, so the sorted array does not depend on the tie order (up to
-    the sign of zero entries, which only adds signed zero terms to the sums).
-    Other weights are carried along by a stable argsort.  Both routes feed
-    the same prefix sums, so they give bit-identical results.
+    Sorted ascending, a column v has this sum 2 sum_i c_i (v_(i) - med),
+    with c_i = w_(i) (2 W_(<i) + w_(i) - W), the pairs below a point minus
+    those above it, and med the value where c_i turns non-negative, so no
+    product is negative; :func:`_exact_column_sums` rounds each column once.
+    Equal weights (:func:`_equal_weights`) sort by ``np.sort`` and take the
+    exact integers 2i + 1 - n, the sum divided by n^2 (exact below 2^26.5
+    rows), and give the same bits in any row order.  Other weights follow a
+    stable argsort (the same bits for distinct values), and W_(<i) is a
+    cumulative sum corrected by the two-sum error of each addition.
     """
+    n, k = y.shape
     if _equal_weights(w):
-        vs, ws = np.sort(v), w
+        ys = np.sort(y, axis=0)
+        coef = np.arange(1 - n, n, 2, dtype=float)[:, None]
+        divisor = float(n * n)
     else:
-        order = np.argsort(v, kind="stable")
-        vs, ws = v[order], w[order]
-    return _sorted_mean_abs_difference(vs, ws)
-
-
-def _sorted_mean_abs_difference(vs: np.ndarray, ws: np.ndarray) -> float:
-    """``_mean_abs_difference`` of values sorted ascending, with their weights."""
-    if math.isinf(float(vs[-1]) - float(vs[0])):
-        # the span overflows: halve the values (exact but for subnormals,
-        # negligible beside such a span) and double the sum, linear in them
-        return 2.0 * _sorted_mean_abs_difference(vs * 0.5, ws)
-    # shifting to start at zero costs nothing (pairwise differences are
-    # shift invariant) and avoids cancellation for near-constant values
-    vs = vs - vs[0]
-    cum_w = np.cumsum(ws)
-    cum_wv = np.cumsum(ws * vs)
-    # sum_{a<b} w_a w_b (v_b - v_a), doubled for the symmetric sum
-    mad = 2.0 * float(np.sum(ws * (vs * (cum_w - ws) - (cum_wv - ws * vs))))
-    return max(mad, 0.0)
+        order = np.argsort(y, axis=0, kind="stable")
+        ys, ws = np.take_along_axis(y, order, axis=0), w[order]
+        cum = np.cumsum(ws, axis=0)
+        below = np.vstack((np.zeros((1, k)), cum[:-1]))
+        step = cum - below
+        lost = np.cumsum((below - (cum - step)) + (ws - step), axis=0)  # W_(<=i) - cum
+        coef = ws * ((2.0 * cum - cum[-1]) + (2.0 * lost - lost[-1] - ws))
+        divisor = 1.0
+    # 2^-e keeps span * divisor, so every product and sum, below 2^1022 (the
+    # halved span is finite); exact but for subnormals, negligible beside it
+    e = np.maximum(np.frexp(ys[-1] * 0.5 - ys[0] * 0.5)[1] + math.frexp(divisor)[1] - 1021, 0)
+    ys = np.ldexp(ys, -e) if np.any(e) else ys
+    med = ys[np.argmax(coef >= 0.0, axis=0), np.arange(k)]
+    return np.ldexp(2.0 * _exact_column_sums((ys - med) * coef) / divisor, e)
 
 
 def _whitened_mean_norm(m_star: np.ndarray, p: float) -> float:
@@ -390,17 +390,18 @@ def gini_p(
     the expected whitened pair distance over twice the whitened-mean p-norm.
 
     estimator="exact" is exact up to roundoff.  For p = 1 it sums the
-    per-component mean absolute differences, each by one sort and prefix
-    sums: O(n log n), uncapped, single threaded; each over 2|m*_i| is that
-    component's index in ``component_ginis``, unless some m*_i is zero.  For
-    p != 1 it evaluates the double sum over support pairs, O(n^2 d), which
-    requires n <= exact_cap and is the only step ``threads`` parallelizes
-    (the value does not depend on ``threads``).  estimator="pairs" draws
-    ``pairs`` independent index pairs from the weight distribution with a
-    fixed seed and reports a standard error alongside the estimate.  The
-    indices invert the weight CDF at one seeded uniform stream, directly as
-    floor(u n) for equal weights.  Both estimators, and the normalizer,
-    compute a p-norm one whitened component at a time, in component order.
+    per-component mean absolute differences, each by one sort and one
+    exactly rounded sum: O(n log n), uncapped, single threaded; each over
+    2|m*_i| is that component's index in ``component_ginis``, unless some
+    m*_i is zero.  For p != 1 it evaluates the double sum over support
+    pairs, O(n^2 d), which requires n <= exact_cap and is the only step
+    ``threads`` parallelizes (the value does not depend on ``threads``).
+    estimator="pairs" draws ``pairs`` independent index pairs from the
+    weight distribution with a fixed seed and reports a standard error
+    alongside the estimate.  The indices invert the weight CDF at one seeded
+    uniform stream, directly as floor(u n) for equal weights.  Both
+    estimators, and the normalizer, compute a p-norm one whitened component
+    at a time, in component order.
 
     Arguments are checked before any moment or fit, so a bad ``p``,
     ``method``, ``estimator``, ``pairs``, ``seed``, ``threads`` or
@@ -439,13 +440,11 @@ def gini_p(
     if estimator == "exact":
         if p == 1.0:
             # the p = 1 distance splits into per-component mean absolute
-            # differences, each O(n log n); no division by a component mean
-            mad = [_mean_abs_difference(column, w) for column in y.T]
-            mean_dist = 0.0
-            for value in mad:
-                mean_dist += value
+            # differences, O(n log n); no division by a component mean
+            mad = _mean_abs_differences(y, w)
+            mean_dist = math.fsum(mad)
             if np.all(m_star != 0.0):
-                component_ginis = np.array(mad) / (2.0 * np.abs(m_star))
+                component_ginis = mad / (2.0 * np.abs(m_star))
         else:
             mean_dist = _exact_mean_distance(y, w, p, threads)
         pair_count = seed_used = std_error = None

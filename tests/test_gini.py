@@ -3,6 +3,7 @@ import os
 import re
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,9 +29,9 @@ from multigini.gini import (
     _equal_weight_indices,
     _exact_chunks,
     _exact_mean_distance,
-    _mean_abs_difference,
+    _mean_abs_differences,
     _pair_sample_mean_distance,
-    _sorted_mean_abs_difference,
+    _whitened,
     _whitened_mean_norm,
 )
 from multigini.synth import (
@@ -39,6 +40,8 @@ from multigini.synth import (
     gen_coinflip_cube,
     gen_gaussian,
     gen_spike_cube,
+    rational_gini_1d,
+    rational_mean_abs_difference,
 )
 
 
@@ -145,10 +148,16 @@ class TestGini1d:
         assert str(from_gini.value) == str(from_sample.value)
 
 
-def argsort_route(v, w):
-    """The stable argsort route, which unequal weights take, on any weights."""
-    order = np.argsort(v, kind="stable")
-    return _sorted_mean_abs_difference(v[order], w[order])
+def mad(values, weights=None):
+    """The kernel on one column, with weights normalized as a sample's are."""
+    v = np.asarray(values, dtype=float)
+    w = WeightedSample(v, weights).weights
+    return float(_mean_abs_differences(v[:, None], w)[0])
+
+
+def sort_by_argsort(a, axis=-1):
+    """``np.sort`` as a stable argsort and gather, the sort of unequal weights."""
+    return np.take_along_axis(a, np.argsort(a, axis=axis, kind="stable"), axis=axis)
 
 
 @pytest.fixture
@@ -184,13 +193,16 @@ class TestSortRoutes:
     @example(values=[-0.0, 0.0, 0.0, -0.0, 1.0], weight=None)
     def test_uniform_route_bit_identical_to_argsort_route(self, values, weight):
         v = np.array(values)
-        w = np.full(v.size, 1.0 / v.size if weight is None else weight)
-        assert _mean_abs_difference(v, w).hex() == argsort_route(v, w).hex()
+        weights = None if weight is None else [weight] * v.size
+        sorted_bits = mad(v, weights).hex()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gini_module.np, "sort", sort_by_argsort)
+            assert mad(v, weights).hex() == sorted_bits
 
     def test_equal_unnormalized_weights_take_sort_route(self, argsort_sizes):
         x = np.array([4.0, 1.0, 4.0])
         sample = WeightedSample(x[:, None], [2.0, 2.0, 2.0])
-        _mean_abs_difference(x, np.full(3, 2.0))
+        mad(x, [2.0, 2.0, 2.0])
         assert gini_1d(x, sample.weights) == gini_1d(x, [2.0, 2.0, 2.0]) == gini_1d(x)
         gini_p(sample, 1.0)
         assert x.size not in argsort_sizes
@@ -206,11 +218,110 @@ class TestSortRoutes:
             k = int(rng.integers(0, n))
             weights[k] = np.nextafter(weights[k], 1.0)
             argsort_sizes.clear()
-            fast = _mean_abs_difference(values, weights) / (2.0 * abs(weights @ values))
+            fast = mad(values, weights) / (2.0 * abs(weights @ values))
             assert argsort_sizes == [n]
             slow = brute_force_gini_1d(values, weights)
             # relative: at the 1e6 offset the index is ~1e-7
             assert abs(fast - slow) <= 1e-12 * slow
+
+
+class TestKernel:
+    """The p = 1 kernel at the edges of the float range, on constant columns and under permutation."""
+
+    def test_finite_span_whose_products_would_overflow(self):
+        # the span 1.6e308 is finite, but times the coefficients (up to n - 1) it is not
+        rng = np.random.default_rng(52)
+        values = np.where(rng.random(1000) < 0.4, -8e307, 8e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mad(values)
+            index = gini_1d(values)
+        exact = float(rational_mean_abs_difference(values))
+        assert abs(got - exact) <= 1e-15 * exact
+        assert abs(index - rational_gini_1d(values)) <= 1e-15 * index
+
+    @pytest.mark.parametrize("weights", [None, "random"])
+    @pytest.mark.parametrize("value", [0.0, -0.0, 3.7, -1e300])
+    def test_equal_values_give_exactly_zero(self, value, weights):
+        rng = np.random.default_rng(53)
+        n = 500
+        w = None if weights is None else rng.random(n) + 0.05
+        values = np.full(n, value)
+        assert mad(values, w).hex() == (0.0).hex()
+        if value != 0.0:
+            assert gini_1d(values, w).hex() == (0.0).hex()
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_row_permutation_keeps_the_bits(self, weighted):
+        rng = np.random.default_rng(54)
+        n = 5000
+        # ties and signed zeros in the first column, distinct values elsewhere
+        y = np.column_stack((
+            rng.choice([-0.0, 0.0, 1.5, -2.0, 7.0], n),
+            rng.lognormal(0.0, 1.8, n) - 2.0,
+            rng.standard_normal(n),
+        ))
+        if weighted:
+            # stable argsort orders ties by row, so only distinct values keep the bits
+            y = y[:, 1:]
+        w = WeightedSample(y, rng.random(n) + 0.05 if weighted else None).weights
+        order = rng.permutation(n)
+        sums = _mean_abs_differences(y, w)
+        assert sums.tolist() == _mean_abs_differences(y[order], w[order]).tolist()
+        # each column's sum is that of the column alone
+        columns = [float(_mean_abs_differences(y[:, [j]], w)[0]) for j in range(y.shape[1])]
+        assert sums.tolist() == columns
+
+
+def correlated_lognormal_sample(rng, n, weighted):
+    """Three correlated lognormal(5.5, 1.8) metrics, whose whitened columns have mixed signs."""
+    points = rng.lognormal(5.5, 1.8, (n, 3)) @ np.array([[1.0, 0.6, 0.2], [0.0, 1.0, 0.5],
+                                                        [0.0, 0.0, 1.0]])
+    return WeightedSample(points, rng.random(n) + 0.05 if weighted else None)
+
+
+class TestReportScaleAccuracy:
+    """The p = 1 kernel within 1e-14 relative of exact rational arithmetic at report sizes.
+
+    A report's pooled row has about 2e5 rows.  The tolerance is the few-ulp
+    rounding of one exactly rounded sum, far below the ~5e-11 a kernel built
+    on running sums of the weights drifts by at this size.
+    """
+
+    @pytest.mark.parametrize("case", [
+        "equal-lognormal", "equal-whitened", "equal-low-outlier",
+        "unequal-mixed-sign", "unequal-lognormal", "unequal-low-outlier",
+    ])
+    def test_gini_1d(self, case):
+        rng = np.random.default_rng(60)
+        weighted = case.startswith("unequal")
+        n = 100_000 if weighted else 200_000
+        if case == "equal-whitened":
+            values = _whitened(correlated_lognormal_sample(rng, n, False), "zca_cor")[1][:, 0]
+            assert 0.05 < np.mean(values < 0) < 0.95
+        elif case == "unequal-mixed-sign":
+            values = rng.lognormal(0.0, 1.8, n) - 2.0
+        else:
+            values = rng.lognormal(5.5, 1.8, n)
+        if case.endswith("low-outlier"):
+            # every other value is far above the minimum, so products taken
+            # from the minimum would be large beside their sum
+            values[rng.integers(n)] = -1e9
+        weights = rng.random(n) + 0.05 if weighted else None
+        exact = rational_gini_1d(values, weights)
+        assert abs(gini_1d(values, weights) - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_component_ginis_of_exact_p1(self, weighted):
+        rng = np.random.default_rng(61)
+        sample = correlated_lognormal_sample(rng, 100_000 if weighted else 200_000, weighted)
+        result = gini_p(sample, 1.0)
+        _, y, m_star = _whitened(sample, "zca_cor")
+        assert np.any(y < 0)
+        for k, got in enumerate(result.component_ginis):
+            exact = float(rational_mean_abs_difference(y[:, k], sample.weights)
+                          / (2 * Fraction(abs(float(m_star[k])))))
+            assert abs(got - exact) <= 1e-14 * exact
 
 
 def gini_1d_outcome(values, weights):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from multigini.synth import (
     gen_gaussian,
     gen_spike_cube,
     pca_instability_fixture,
+    rational_gini_1d,
+    rational_mean_abs_difference,
     write_sample_csv,
 )
 
@@ -147,6 +150,42 @@ class TestBruteForce:
         )
         with pytest.raises(DataError, match="capped"):
             brute_force_gini_p(sample, 1.0, transform)
+
+
+def pairwise_fractions(values, weights):
+    """sum_{a,b} w_a w_b |v_a - v_b| and the mean, over all pairs, in Fractions."""
+    v = [Fraction(x) for x in values]
+    w = [Fraction(1)] * len(v) if weights is None else [Fraction(x) for x in weights]
+    total = sum(w)
+    w = [x / total for x in w]
+    pairs = sum(wa * wb * abs(va - vb) for va, wa in zip(v, w) for vb, wb in zip(v, w))
+    return pairs, sum(wa * va for va, wa in zip(v, w))
+
+
+class TestRationalOracle:
+    """The sorted rational evaluators equal a Fraction double sum over all pairs, exactly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 300])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_equals_the_pairwise_double_sum(self, n, weighted):
+        rng = np.random.default_rng(70 + n)
+        # ties, both signed zeros, mixed signs and a wide range of magnitudes
+        values = rng.choice([0.0, -0.0, 1.0, -2.5, 1e-300, 3e8], n)
+        values[: n // 2] = rng.lognormal(0.0, 3.0, n // 2) * rng.choice([-1.0, 1.0], n // 2)
+        rng.shuffle(values)
+        weights = rng.random(n) * rng.choice([1e-3, 1.0, 7.0], n) if weighted else None
+        pairs, mean = pairwise_fractions(values, weights)
+        assert rational_mean_abs_difference(values, weights) == pairs
+        if mean != 0:
+            assert rational_gini_1d(values, weights) == float(pairs / (2 * abs(mean)))
+
+    def test_equal_weights_are_no_weights(self):
+        values = [3.0, 1.0, 1.0, -0.5, 8.0]
+        assert rational_mean_abs_difference(values, [0.3] * 5) == rational_mean_abs_difference(values)
+
+    def test_zero_mean_rejected(self):
+        with pytest.raises(NumericalError, match="zero-mean"):
+            rational_gini_1d([-1.0, 1.0])
 
 
 class TestInstabilityFixture:
