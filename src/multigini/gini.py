@@ -149,9 +149,9 @@ def _mean_abs_differences(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     product is negative; :func:`_exact_column_sums` rounds each column once.
     Equal weights (:func:`_equal_weights`) sort by ``np.sort`` and take the
     exact integers 2i + 1 - n, the sum divided by n^2 (exact below 2^26.5
-    rows), and give the same bits in any row order.  Other weights follow a
-    stable argsort (the same bits for distinct values), and W_(<i) is a
-    cumulative sum corrected by the two-sum error of each addition.
+    rows), and give the same bits in any row order.  Other weights sort the
+    (value, weight) pairs as complex numbers, ties by weight, so likewise;
+    W_(<i) is a cumulative sum corrected by the two-sum error of each addition.
     """
     n, k = y.shape
     if _equal_weights(w):
@@ -159,8 +159,10 @@ def _mean_abs_differences(y: np.ndarray, w: np.ndarray) -> np.ndarray:
         coef = np.arange(1 - n, n, 2, dtype=float)[:, None]
         divisor = float(n * n)
     else:
-        order = np.argsort(y, axis=0, kind="stable")
-        ys, ws = np.take_along_axis(y, order, axis=0), w[order]
+        pairs = np.empty((n, k), dtype=complex)
+        pairs.real, pairs.imag = y, w[:, None]  # y + 1j * w would turn -0.0 into +0.0
+        pairs = np.sort(pairs, axis=0)
+        ys, ws = pairs.real, pairs.imag
         cum = np.cumsum(ws, axis=0)
         below = np.vstack((np.zeros((1, k)), cum[:-1]))
         step = cum - below

@@ -73,7 +73,10 @@ class WeightedSample:
 
     def shifted(self, c) -> WeightedSample:
         """Return the sample of X + c for a constant vector c."""
-        c = np.asarray(c, dtype=float).reshape(-1)
+        try:
+            c = np.asarray(c, dtype=float).reshape(-1)
+        except (TypeError, ValueError, OverflowError):
+            raise DataError(f"shift entries must be numbers, got {c!r}") from None
         if c.shape[0] != self.dim:
             raise DataError(f"expected {self.dim} shift entries, got {c.shape[0]}")
         return WeightedSample(self.points + c, self.weights)
@@ -267,10 +270,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        z = self.eigenvectors
-        return (z * self.eigenvalues) @ z.T
-
 
 def _check_symmetric(a: np.ndarray, rtol: float = 1e-10) -> float:
     """max|a - a^T| of a square matrix, a DataError above rtol * max(1, max|a|)."""
@@ -301,8 +300,7 @@ def sym_eigen(matrix) -> EigenDecomposition:
             f"eigendecomposition failed: {exc} (input asymmetry residual {asym:.3e})"
         ) from exc
     order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = vals[order], vecs[:, order]
     # argmax returns the lowest index on ties, which is the tie-break we want
     for j in range(vecs.shape[1]):
         lead = int(np.argmax(np.abs(vecs[:, j])))

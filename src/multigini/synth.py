@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .sample import WeightedSample, cholesky_lower
+from .sample import WeightedSample, _equal_weights, cholesky_lower
 from .whitening import WhiteningTransform
 
 MAX_PRODUCT_DIM = 12       # exact product measures enumerate 2^dim points
@@ -281,7 +281,7 @@ def write_sample_csv(
     if len(metric_names) != sample.dim:
         raise DataError(f"expected {sample.dim} metric names, got {len(metric_names)}")
     if rows is None:
-        if np.abs(sample.weights - 1.0 / sample.n).max() > 1e-12:
+        if not _equal_weights(sample.weights):
             raise DataError("weights are not uniform; pass rows= to expand the support")
         points = sample.points
     else:

@@ -156,22 +156,22 @@ def mad(values, weights=None):
 
 
 def sort_by_argsort(a, axis=-1):
-    """``np.sort`` as a stable argsort and gather, the sort of unequal weights."""
+    """``np.sort`` as a stable argsort and gather, another route to the same order."""
     return np.take_along_axis(a, np.argsort(a, axis=axis, kind="stable"), axis=axis)
 
 
 @pytest.fixture
-def argsort_sizes(monkeypatch):
-    """Sizes of the arrays np.argsort is called on while the test runs."""
-    sizes = []
-    real = np.argsort
+def sort_dtypes(monkeypatch):
+    """Dtypes of the arrays np.sort is called on while the test runs."""
+    dtypes = []
+    real = np.sort
 
     def spy(a, *args, **kwargs):
-        sizes.append(np.size(a))
+        dtypes.append(np.asarray(a).dtype)
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(gini_module.np, "argsort", spy)
-    return sizes
+    monkeypatch.setattr(gini_module.np, "sort", spy)
+    return dtypes
 
 
 # heavy ties, both signed zeros, and a large offset with ties near it
@@ -179,7 +179,7 @@ TIED_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e6, 1e6 + 0.5, 1e6 - 
 
 
 class TestSortRoutes:
-    """Equal weights skip the argsort; the value must not change by a bit."""
+    """Equal weights sort plain values, others (value, weight) pairs; the value must not change by a bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -199,27 +199,28 @@ class TestSortRoutes:
             patch.setattr(gini_module.np, "sort", sort_by_argsort)
             assert mad(v, weights).hex() == sorted_bits
 
-    def test_equal_unnormalized_weights_take_sort_route(self, argsort_sizes):
+    def test_equal_unnormalized_weights_take_sort_route(self, sort_dtypes):
         x = np.array([4.0, 1.0, 4.0])
         sample = WeightedSample(x[:, None], [2.0, 2.0, 2.0])
         mad(x, [2.0, 2.0, 2.0])
         assert gini_1d(x, sample.weights) == gini_1d(x, [2.0, 2.0, 2.0]) == gini_1d(x)
         gini_p(sample, 1.0)
-        assert x.size not in argsort_sizes
+        assert set(sort_dtypes) == {np.dtype(float)}
+        sort_dtypes.clear()
         gini_1d(x, [2.0, 2.0, 2.5])
-        assert x.size in argsort_sizes
+        assert sort_dtypes == [np.dtype(complex)]
 
     @pytest.mark.parametrize("offset", [0.0, 1e6])
-    def test_one_ulp_off_takes_argsort_route_and_matches_oracle(self, argsort_sizes, offset):
+    def test_one_ulp_off_takes_pair_sort_route_and_matches_oracle(self, sort_dtypes, offset):
         rng = np.random.default_rng(37)
         for n in (2, 3, 17, 60):
             values = offset + rng.integers(0, 5, n) * 0.5 + rng.random(n) * (n % 2)
             weights = np.full(n, 1.0 / n)
             k = int(rng.integers(0, n))
             weights[k] = np.nextafter(weights[k], 1.0)
-            argsort_sizes.clear()
+            sort_dtypes.clear()
             fast = mad(values, weights) / (2.0 * abs(weights @ values))
-            assert argsort_sizes == [n]
+            assert sort_dtypes == [np.dtype(complex)]
             slow = brute_force_gini_1d(values, weights)
             # relative: at the 1e6 offset the index is ~1e-7
             assert abs(fast - slow) <= 1e-12 * slow
@@ -261,9 +262,6 @@ class TestKernel:
             rng.lognormal(0.0, 1.8, n) - 2.0,
             rng.standard_normal(n),
         ))
-        if weighted:
-            # stable argsort orders ties by row, so only distinct values keep the bits
-            y = y[:, 1:]
         w = WeightedSample(y, rng.random(n) + 0.05 if weighted else None).weights
         order = rng.permutation(n)
         sums = _mean_abs_differences(y, w)
@@ -348,11 +346,11 @@ class TestGini1dPermutation:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        pairs=st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e3)),
-                       min_size=1, max_size=40, unique_by=lambda pair: pair[0]),
+        pairs=st.lists(st.tuples(TIED_VALUES | st.floats(-1e6, 1e6), st.floats(0.0, 1e3)),
+                       min_size=1, max_size=40),
         data=st.data(),
     )
-    def test_distinct_values_random_weights(self, pairs, data):
+    def test_random_weights(self, pairs, data):
         permuted = data.draw(st.permutations(pairs))
         assert gini_1d_outcome(*zip(*permuted)) == gini_1d_outcome(*zip(*pairs))
 

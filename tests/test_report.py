@@ -502,6 +502,10 @@ class TestBuildReport:
         with pytest.raises(DataError, match="metric names"):
             build_report(spike_panels(), metric_names=["a"])
 
+    def test_panel_set_without_a_pooled_sample_is_a_data_error(self):
+        with pytest.raises(DataError, match="empty panel set"):
+            build_report(PanelSet(groups={}, pooled=None))
+
     def test_repeated_metric_name_is_a_data_error(self):
         # the JSON writer keys each row's Ginis and weights by name, so a
         # repeated name would drop a metric without an error

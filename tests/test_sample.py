@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import multigini.sample
 from multigini import (
     DataError,
+    MomentSummary,
     NumericalError,
     WeightedSample,
     cholesky_lower,
@@ -85,6 +86,17 @@ class TestWeightedSample:
         s = WeightedSample([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(DataError, match=r"scale factors must be numbers, got \['2', 'x'\]"):
             s.scaled(["2", "x"])
+
+    @pytest.mark.parametrize("c", [["a", "b"], [[1.0], ["x"]], {"a": 1.0}])
+    def test_shifted_by_a_non_number_is_data_error(self, c):
+        s = WeightedSample([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(DataError, match=r"shift entries must be numbers, got "):
+            s.shifted(c)
+
+    def test_shifted_by_the_wrong_length_is_data_error(self):
+        s = WeightedSample([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(DataError, match="expected 2 shift entries, got 3"):
+            s.shifted([1.0, 2.0, 3.0])
 
     def test_scaled_and_shifted(self):
         s = WeightedSample([[1.0, 2.0], [3.0, 4.0]], weights=[1.0, 3.0])
@@ -183,6 +195,18 @@ class TestMoments:
         recon = v_half @ m.correlation @ v_half
         scale = max(1.0, np.abs(m.covariance).max())
         assert np.abs(recon - m.covariance).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("mean, cov", [
+        ([0.0, 0.0], np.eye(3)),
+        ([0.0, 0.0], np.ones((2, 3))),
+        ([0.0], np.ones(1)),
+    ])
+    def test_from_mean_cov_rejects_a_mismatched_shape(self, mean, cov):
+        shape = np.shape(cov)
+        with pytest.raises(DataError, match=re.escape(
+            f"covariance shape {shape} does not match mean of length {len(mean)}"
+        )):
+            MomentSummary.from_mean_cov(mean, cov)
 
     def test_zero_variance_flagged_not_fatal(self):
         m = moments(WeightedSample([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]]))
@@ -321,6 +345,11 @@ class TestSymEigen:
         with pytest.raises(DataError, match="symmetric"):
             sym_eigen([[1.0, 2.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(DataError, match=re.escape(f"expected a square matrix, got shape {shape}")):
+            sym_eigen(np.ones(shape))
+
     def test_random_matrices_properties(self):
         rng = np.random.default_rng(16)
         for _ in range(100):
@@ -335,7 +364,8 @@ class TestSymEigen:
             assert np.abs(gram - np.eye(d)).max() <= 1e-10
             # reconstruction
             scale = max(1.0, np.abs(a).max())
-            assert np.abs(e.reconstruct() - a).max() <= 1e-9 * scale
+            z = e.eigenvectors
+            assert np.abs((z * e.eigenvalues) @ z.T - a).max() <= 1e-9 * scale
             # sign convention
             for j in range(d):
                 col = e.eigenvectors[:, j]
@@ -375,3 +405,8 @@ class TestCholeskyLower:
     def test_rejects_asymmetric(self):
         with pytest.raises(DataError, match="symmetric"):
             cholesky_lower([[1.0, 0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(DataError, match=re.escape(f"expected a square matrix, got shape {shape}")):
+            cholesky_lower(np.ones(shape))

@@ -19,6 +19,8 @@ from multigini import (
     sym_eigen,
 )
 from multigini.synth import (
+    BRUTE_FORCE_CAP,
+    brute_force_gini_1d,
     brute_force_gini_p,
     expand_to_rows,
     gen_coinflip_cube,
@@ -151,6 +153,10 @@ class TestBruteForce:
         with pytest.raises(DataError, match="capped"):
             brute_force_gini_p(sample, 1.0, transform)
 
+    def test_gini_1d_size_cap(self):
+        with pytest.raises(DataError, match=f"capped at n={BRUTE_FORCE_CAP}"):
+            brute_force_gini_1d(np.ones(BRUTE_FORCE_CAP + 1))
+
 
 def pairwise_fractions(values, weights):
     """sum_{a,b} w_a w_b |v_a - v_b| and the mean, over all pairs, in Fractions."""
@@ -268,6 +274,16 @@ class TestCsvExport:
         sample = gen_spike_cube(0.2, 2)
         with pytest.raises(DataError, match="uniform"):
             write_sample_csv(sample, tmp_path / "x.csv", ["a", "b"])
+
+    def test_nearly_equal_weights_are_not_uniform(self, tmp_path):
+        # within 1e-12 of 1/n, but one weight is an ulp above the others
+        points = np.arange(1.0, 7.0).reshape(3, 2)
+        sample = WeightedSample(points, [1.0, 1.0, np.nextafter(1.0, 2.0)])
+        assert np.abs(sample.weights - 1.0 / 3.0).max() < 1e-12
+        with pytest.raises(DataError, match="uniform"):
+            write_sample_csv(sample, tmp_path / "x.csv", ["a", "b"])
+        assert not (tmp_path / "x.csv").exists()
+        assert write_sample_csv(WeightedSample(points, [2.0] * 3), tmp_path / "y.csv", ["a", "b"]) == 3
 
     def test_metric_name_count_checked(self, tmp_path):
         sample = gen_coinflip_cube(1.0, 2)

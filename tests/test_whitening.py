@@ -154,6 +154,19 @@ class TestFitErrors:
         for stable in ("cholesky", "zca_cor"):
             assert fit_whitening(stable, m).whiteness_residual <= 1e-14
 
+    @pytest.mark.parametrize("method", ["zca", "pca"], ids="fit_{}".format)
+    def test_indefinite_covariance_rejected(self, method):
+        # at a 1e-10 scale the correlation is still well conditioned, but
+        # roundoff leaves the covariance's smallest eigenvalue at -2.7e-17
+        points = np.random.default_rng(1).lognormal(0.0, 0.6, (400, 3))
+        m = moments(WeightedSample(points).scaled([1.0, 1e-10, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="covariance is not positive definite"):
+                fit_whitening(method, m)
+        for stable in ("cholesky", "zca_cor"):
+            assert fit_whitening(stable, m).whiteness_residual <= 1e-14
+
     def test_zero_variance_names_component(self):
         m = moments(WeightedSample([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]]))
         with pytest.raises(NumericalError, match=r"component\(s\) \[0\]"):
