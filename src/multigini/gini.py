@@ -31,6 +31,7 @@ from .sample import (
     _checked_points_and_weights,
     _equal_weights,
     _exact_column_sums,
+    _floats,
     moments,
 )
 from .whitening import WhiteningTransform, _check_method, fit_whitening
@@ -132,7 +133,7 @@ def gini_1d(values, weights=None) -> float:
 
     Raises :class:`NumericalError` if the weighted mean is zero.
     """
-    x, w = _checked_points_and_weights(np.ravel(values), weights)
+    x, w = _checked_points_and_weights(_floats(values, "points").ravel(), weights)
     mean = float(_exact_column_sums(x * w[:, None])[0])
     if mean == 0.0:
         raise NumericalError("undefined inequality for zero-mean component")
@@ -406,15 +407,18 @@ def gini_p(
     at a time, in component order.
 
     Arguments are checked before any moment or fit, so a bad ``p``,
-    ``method``, ``estimator``, ``pairs``, ``seed``, ``threads`` or
-    ``exact_cap``, or a sample above ``exact_cap`` for the exact estimator
-    at p != 1, is a :class:`DataError` even on a singular sample.
+    ``method``, ``estimator``, or integer ``pairs``, ``seed``, ``threads``
+    or ``exact_cap``, or a sample above ``exact_cap`` for the exact
+    estimator at p != 1, is a :class:`DataError` even on a singular sample.
     Raises :class:`NumericalError` when the whitened mean is zero, or when p
     is so large that |x|^p over- or underflows (the normalizer is zero or
     infinite for a nonzero whitened mean, or the distance sum is not finite).
     """
     p = _validate_p(p)
     _check_method(method)
+    for name, value in dict(pairs=pairs, seed=seed, exact_cap=exact_cap, threads=threads).items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DataError(f"{name} must be an integer, got {value!r}")
     if threads < 1:
         raise DataError(f"threads must be >= 1, got {threads}")
     if exact_cap < 0:

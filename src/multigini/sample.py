@@ -8,6 +8,7 @@ what makes the exact pairwise identities downstream hold at finite n.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +23,7 @@ DEGENERACY_RTOL = 1e-12
 # entries, which keeps its temporaries in cache.  A block must have fewer than
 # 2^26 rows for its float64 bin sums to stay exact.
 _SUM_BLOCK_ENTRIES = 1 << 14
-_EXPONENTS = 2048
-_MANTISSA_BITS = (1 << 52) - 1
-_LOW_HALF_BITS = (1 << 26) - 1
+_EXPONENT_BINS = 2098  # np.frexp exponents of finite doubles: -1073 to 1024
 
 
 class WeightedSample:
@@ -45,9 +44,7 @@ class WeightedSample:
     __slots__ = ("points", "weights")
 
     def __init__(self, points, weights=None):
-        self.points, self.weights = _checked_points_and_weights(
-            np.array(points, dtype=float, copy=True), weights
-        )
+        self.points, self.weights = _checked_points_and_weights(points, weights, copy=True)
 
     @property
     def n(self) -> int:
@@ -61,10 +58,7 @@ class WeightedSample:
 
     def scaled(self, q) -> WeightedSample:
         """Return the sample of Q·X for a positive diagonal scaling q."""
-        try:
-            q = np.asarray(q, dtype=float).reshape(-1)
-        except (TypeError, ValueError, OverflowError):
-            raise DataError(f"scale factors must be numbers, got {q!r}") from None
+        q = _floats(q, "scale factors").reshape(-1)
         if q.shape[0] != self.dim:
             raise DataError(f"expected {self.dim} scale factors, got {q.shape[0]}")
         if np.any(q <= 0) or not np.all(np.isfinite(q)):
@@ -73,10 +67,7 @@ class WeightedSample:
 
     def shifted(self, c) -> WeightedSample:
         """Return the sample of X + c for a constant vector c."""
-        try:
-            c = np.asarray(c, dtype=float).reshape(-1)
-        except (TypeError, ValueError, OverflowError):
-            raise DataError(f"shift entries must be numbers, got {c!r}") from None
+        c = _floats(c, "shift entries").reshape(-1)
         if c.shape[0] != self.dim:
             raise DataError(f"expected {self.dim} shift entries, got {c.shape[0]}")
         return WeightedSample(self.points + c, self.weights)
@@ -85,16 +76,24 @@ class WeightedSample:
         return f"WeightedSample(n={self.n}, dim={self.dim})"
 
 
-def _checked_points_and_weights(points, weights):
+def _floats(values, what: str, copy: bool = False) -> np.ndarray:
+    """``values`` as a float array, or a :class:`DataError` naming ``what``."""
+    try:
+        return (np.array if copy else np.asarray)(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"{what} must be numbers, got {reprlib.repr(values)}") from None
+
+
+def _checked_points_and_weights(points, weights, copy: bool = False):
     """Points as a float (n, d) matrix, and weights that sum to one.
 
-    The input rules of :class:`WeightedSample`, checked without a copy (a
-    1-D array becomes a column); each broken rule is a :class:`DataError`.
+    The input rules of :class:`WeightedSample` (a 1-D array becomes a
+    column), copied only on ``copy``; each broken rule is a :class:`DataError`.
     Weights are exactly 1/n when None or all equal (so normalizing again
     keeps them), else divided by their exactly rounded total, so the
     normalization does not depend on the order of the points.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _floats(points, "points", copy)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
@@ -104,22 +103,24 @@ def _checked_points_and_weights(points, weights):
     n = pts.shape[0]
     if weights is None:
         return pts, np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    w = _floats(weights, "weights").reshape(-1)
     if w.shape[0] != n:
         raise DataError(f"expected {n} weights, got {w.shape[0]}")
     if not np.all(np.isfinite(w)):
         raise DataError("weights contain non-finite values")
     if np.any(w < 0):
         raise DataError("negative weight")
+    equal = _equal_weights(w)
     try:
-        total = float(_exact_column_sums(w[:, None])[0])
+        # n * w_0 is a Python float product: it overflows to inf with no warning
+        total = n * float(w[0]) if equal else float(_exact_column_sums(w[:, None])[0])
     except OverflowError:
-        raise DataError("weights sum to more than the largest float") from None
+        total = np.inf
+    if total == np.inf:
+        raise DataError("weights sum to more than the largest float")
     if total <= 0.0:
         raise DataError("all-zero weights")
-    if _equal_weights(w):
-        return pts, np.full(n, 1.0 / n)
-    return pts, w / total
+    return pts, np.full(n, 1.0 / n) if equal else w / total
 
 
 def _equal_weights(w: np.ndarray) -> bool:
@@ -158,8 +159,8 @@ class MomentSummary:
     @classmethod
     def from_mean_cov(cls, mean, cov) -> MomentSummary:
         """Build a summary from an explicit mean vector and covariance matrix."""
-        mean = np.asarray(mean, dtype=float).reshape(-1)
-        cov = np.asarray(cov, dtype=float)
+        mean = _floats(mean, "mean entries").reshape(-1)
+        cov = _floats(cov, "covariance entries")
         if cov.shape != (mean.shape[0], mean.shape[0]):
             raise DataError(f"covariance shape {cov.shape} does not match mean of length {mean.shape[0]}")
         _check_symmetric(cov)
@@ -194,40 +195,33 @@ def _exact_column_sums(x: np.ndarray) -> np.ndarray:
 
     Equal to ``math.fsum`` of each column, bit for bit, zeros included (on
     Python 3.10-3.13 a sum that is exactly zero is +0.0), so a sum does not
-    depend on the order of the rows.  Each double is sign * mantissa *
-    2^(exponent - 1075), with a 53-bit integer mantissa and a biased
-    exponent of at least 1 (a subnormal has exponent 1 and no implicit bit).
-    The signed mantissas are split into a high part (at most 27 bits with
-    the sign) and a low part (26 bits), and ``np.bincount`` sums each part
-    per (column, exponent) bin.  Those float64 sums are integers below 2^53,
-    so exact, while a block has fewer than 2^26 rows.  Python ints then add
-    the bins without rounding, and one int / int division, which Python
-    rounds correctly, gives each column's sum.
+    depend on the order of the rows.  ``np.frexp`` writes each double,
+    subnormals included, as m 2^e with -1073 <= e <= 1024 and |m| < 1.  The
+    high part trunc(m 2^27) is a signed integer of 27 bits and the rest,
+    m 2^27 - high, a multiple of 2^-26 below 1 in magnitude; ``np.bincount``
+    sums each per (column, e) bin in float64, exactly (53 bits) while a
+    block has fewer than 2^26 rows.  Python ints then add the bins, the
+    rest's sums times 2^26, without rounding, and one int / int division,
+    which Python rounds correctly, gives each column's sum.
     """
-    x = np.ascontiguousarray(x, dtype=float)
     n, d = x.shape
-    bins = np.arange(d) * _EXPONENTS
-    high = np.zeros(d * _EXPONENTS, dtype=np.int64)
-    low = np.zeros(d * _EXPONENTS, dtype=np.int64)
+    bins = np.arange(d) * _EXPONENT_BINS + 1073
+    high, low = np.zeros((2, d * _EXPONENT_BINS), dtype=np.int64)
     rows = max(1, _SUM_BLOCK_ENTRIES // d)
     for start in range(0, n, rows):
-        bits = x[start:start + rows].view(np.int64)
-        exponent = (bits >> 52) & (_EXPONENTS - 1)
-        mantissa = bits & _MANTISSA_BITS
-        np.bitwise_or(mantissa, 1 << 52, out=mantissa, where=exponent > 0)
-        np.negative(mantissa, out=mantissa, where=bits < 0)
-        np.maximum(exponent, 1, out=exponent)
-        exponent += bins
-        index = exponent.ravel()
-        # the high part is floor(m / 2^26), so m = high * 2^26 + low for either sign
-        high += np.bincount(index, (mantissa >> 26).ravel(), high.size).astype(np.int64)
-        low += np.bincount(index, (mantissa & _LOW_HALF_BITS).ravel(), low.size).astype(np.int64)
+        mantissa, exponent = np.frexp(x[start:start + rows])
+        mantissa *= 2.0**27
+        high_part = np.trunc(mantissa)
+        mantissa -= high_part
+        index = (exponent + bins).ravel()
+        high += np.bincount(index, high_part.ravel(), high.size).astype(np.int64)
+        low += np.ldexp(np.bincount(index, mantissa.ravel(), low.size), 26).astype(np.int64)
     totals = [0] * d
     used = np.flatnonzero(high | low)
     for b, h, lo in zip(used.tolist(), high[used].tolist(), low[used].tolist()):
-        column, shift = divmod(b, _EXPONENTS)
+        column, shift = divmod(b, _EXPONENT_BINS)
         totals[column] += ((h << 26) + lo) << shift
-    return np.array([total / (1 << 1075) for total in totals])
+    return np.array([total / (1 << 1126) for total in totals])
 
 
 def moments(sample: WeightedSample) -> MomentSummary:

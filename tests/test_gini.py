@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multigini.gini as gini_module
+import multigini.sample
 from multigini import (
     DataError,
     GiniResult,
@@ -34,6 +36,7 @@ from multigini.gini import (
     _whitened,
     _whitened_mean_norm,
 )
+from multigini.sample import _exact_column_sums
 from multigini.synth import (
     brute_force_gini_1d,
     brute_force_gini_p,
@@ -131,6 +134,23 @@ class TestGini1d:
         with pytest.raises(DataError, match="weights sum to more than the largest float"):
             gini_1d([1.0, 2.0, 3.0], [1e308, 1e308, 1e308])
 
+    def test_equal_weights_take_no_exact_total(self, monkeypatch):
+        sizes = []
+
+        def spy(x):
+            sizes.append(x.shape)
+            return _exact_column_sums(x)
+
+        monkeypatch.setattr(multigini.sample, "_exact_column_sums", spy)
+        monkeypatch.setattr(gini_module, "_exact_column_sums", spy)
+        rng = np.random.default_rng(8)
+        sample = WeightedSample(rng.lognormal(0.0, 1.0, (50, 2)))
+        gini_1d(sample.points[:, 0], sample.weights)
+        assert sizes == [(50, 1), (50, 1)]  # the mean and the p = 1 sum
+        sizes.clear()
+        gini_1d(sample.points[:, 0], rng.random(50))
+        assert len(sizes) == 3  # unequal weights also take the exact total
+
     @pytest.mark.parametrize("values, weights", [
         pytest.param([], None, id="empty"),
         pytest.param([1.0, math.nan], None, id="non-finite-value"),
@@ -139,6 +159,8 @@ class TestGini1d:
         pytest.param([1.0, 2.0], [1.0, 1.0, 1.0], id="wrong-length"),
         pytest.param([1.0, 2.0], [0.0, 0.0], id="all-zero-weights"),
         pytest.param([1.0, 2.0, 3.0], [1e308, 1e308, 1e308], id="overflowing-total"),
+        pytest.param([1.0, 2.0], ["x", "y"], id="non-numeric-weight"),
+        pytest.param([["a"], ["b"]], None, id="non-numeric-value"),
     ])
     def test_input_rules_are_those_of_weighted_sample(self, values, weights):
         with pytest.raises(DataError) as from_sample:
@@ -791,6 +813,29 @@ class TestGiniP:
     def test_threads_must_be_positive(self, threads):
         with pytest.raises(DataError, match="threads must be >= 1"):
             gini_p(gen_spike_cube(0.3, 2), 2.0, threads=threads)
+
+    @pytest.mark.parametrize("name, value, estimator", [
+        ("threads", "2", "exact"),
+        ("threads", None, "exact"),
+        ("threads", True, "exact"),
+        ("exact_cap", "10", "exact"),
+        ("exact_cap", math.nan, "exact"),
+        ("pairs", "100", "pairs"),
+        ("pairs", 2.5, "pairs"),
+        ("seed", "3", "pairs"),
+    ])
+    def test_counts_must_be_integers(self, name, value, estimator):
+        with pytest.raises(DataError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            gini_p(gen_spike_cube(0.3, 2), 2.0, estimator=estimator, **{name: value})
+
+    def test_counts_of_any_integer_type(self):
+        sample = gen_spike_cube(0.3, 2)
+        counts = {"pairs": np.int64(1000), "seed": np.uint8(3), "threads": np.int32(2),
+                  "exact_cap": np.int16(100)}
+        result = gini_p(sample, 2.0, estimator="pairs", **counts)
+        assert (result.pair_count, result.seed) == (1000, 3)
+        assert json.dumps(result.to_dict())
+        assert result.value == gini_p(sample, 2.0, estimator="pairs", pairs=1000, seed=3).value
 
     def test_pairs_seed_must_be_non_negative(self):
         with pytest.raises(DataError, match="seed must be >= 0, got -1"):

@@ -59,6 +59,22 @@ class TestWeightedSample:
         w = np.array([1e308, 7.9e307])
         np.testing.assert_array_equal(WeightedSample([[1.0], [2.0]], w).weights, w / math.fsum(w))
 
+    @pytest.mark.parametrize("points, weights, message", [
+        pytest.param([[1.0], [2.0]], ["a", "b"], "weights must be numbers, got ['a', 'b']",
+                     id="weights"),
+        pytest.param([["a"], ["b"]], None, "points must be numbers, got [['a'], ['b']]",
+                     id="points"),
+    ])
+    def test_non_numeric_input_is_data_error(self, points, weights, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            WeightedSample(points, weights)
+
+    def test_points_are_a_copy(self):
+        points = np.array([[1.0], [2.0]])
+        s = WeightedSample(points)
+        points[0, 0] = 5.0
+        assert s.points[0, 0] == 1.0
+
     def test_1d_points_become_single_column(self):
         s = WeightedSample([1.0, 2.0, 3.0])
         assert s.points.shape == (3, 1)
@@ -208,6 +224,15 @@ class TestMoments:
         )):
             MomentSummary.from_mean_cov(mean, cov)
 
+    @pytest.mark.parametrize("mean, cov, message", [
+        pytest.param(["a"], [[1.0]], "mean entries must be numbers, got ['a']", id="mean"),
+        pytest.param([1.0], [["x"]], "covariance entries must be numbers, got [['x']]",
+                     id="covariance"),
+    ])
+    def test_from_mean_cov_rejects_non_numbers(self, mean, cov, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            MomentSummary.from_mean_cov(mean, cov)
+
     def test_zero_variance_flagged_not_fatal(self):
         m = moments(WeightedSample([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]]))
         assert m.zero_variance == (0,)
@@ -269,6 +294,18 @@ def exact_sums_hex(x) -> list:
 # hard cases: zeros of both signs, subnormals, the normal range edge and huge values
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308,
                 1e308, -1e308, 1.7976931348623157e308, 1e16, -1e16, 1.0, -1.0, 0.1]
+# values in the first and last exponent bins, and zeros; they sum to zero
+_RANGE_EDGES = [5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0]
+
+
+def range_edge_columns(d: int) -> np.ndarray:
+    """d columns, each the range edges in its own order plus two values of its own."""
+    rng = np.random.default_rng(d)
+    return np.column_stack([
+        rng.permutation(_RANGE_EDGES + [(j + 1) * 5e-324, (-1) ** j * 1.7976931348623157e308])
+        for j in range(d)
+    ])
 
 
 class TestExactColumnSums:
@@ -316,11 +353,26 @@ class TestExactColumnSums:
         [1e308, 1e308, -1e308],
         [1.7976931348623157e308, 1e292],
         [1.7976931348623157e308, 1.7976931348623157e308],
+        # several columns at once, each using its first and last bins
+        pytest.param(range_edge_columns(2), id="range-edges-d2"),
+        pytest.param(range_edge_columns(3), id="range-edges-d3"),
+        pytest.param(range_edge_columns(8), id="range-edges-d8"),
     ])
     def test_cancellation_zeros_and_range_edges(self, column):
-        x = np.array(column)[:, None]
-        assert exact_sums_hex(x) == [fsum_hex(column)]
-        assert exact_sums_hex(x[::-1]) == [fsum_hex(column)]
+        x = np.array(column).reshape(len(column), -1)
+        expected = [fsum_hex(values) for values in x.T.tolist()]
+        assert exact_sums_hex(x) == expected
+        assert exact_sums_hex(x[::-1]) == expected
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_many_blocks_of_the_default_size(self, d):
+        n = 50_000
+        assert n * d > 2 * multigini.sample._SUM_BLOCK_ENTRIES
+        rng = np.random.default_rng(d)
+        x = rng.lognormal(0.0, 2.0, (n, d)) * rng.choice([-1.0, 1.0], (n, d))
+        for j in range(d):
+            x[rng.choice(n, len(_RANGE_EDGES), replace=False), j] = _RANGE_EDGES
+        assert exact_sums_hex(x) == [fsum_hex(values) for values in x.T.tolist()]
 
     def test_weights_normalized_by_the_exact_sum(self):
         w = np.array([1e16, 1.0, 3.0, 1e-3])
