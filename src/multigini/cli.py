@@ -223,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest n the exact double sum (p != 1) accepts; exact p=1 is "
                              "O(n log n) and uncapped")
     p_gini.add_argument("--threads", type=int, default=len(usable_cpus()),
-                        help="worker threads for the exact double sum, used only for p != 1 "
-                             "(default: the CPUs this process may run on; never changes "
-                             "printed values)")
+                        help="threads for the exact double sum, used only for p != 1, and "
+                             "at most the CPUs this process may run on (default: all of "
+                             "them; never changes printed values)")
     p_gini.add_argument("--format", choices=("table", "json"), default="table")
     p_gini.set_defaults(func=cmd_gini)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,42 +249,6 @@ def usable_cpus() -> list[int]:
     return list(range(os.cpu_count() or 1))
 
 
-def _cpu_pinner():
-    """Pool initializer pinning each worker thread to one CPU, or None.
-
-    Two threads started by a fresh process often share one CPU for their
-    first few tenths of a second, which can be the whole double sum.  On a
-    mask of exactly two CPUs, the only width on which pinning was measured
-    (it roughly halved a short p = 2 sum), the workers are pinned to the
-    mask's CPUs in round-robin order.  On wider masks they stay unpinned:
-    there, concurrent jobs would each pin their first worker to the first
-    CPU, and a pinned worker on a busy CPU cannot move away.  Only the
-    worker threads are pinned, and they end with the pool; a worker that
-    cannot be pinned runs unpinned.  Pinning moves work, never a chunk or
-    the reduction order.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        return None
-    cpus = usable_cpus()
-    if len(cpus) != 2:
-        return None
-    import itertools
-    import threading
-
-    order = itertools.cycle(cpus)
-    lock = threading.Lock()
-
-    def pin() -> None:
-        with lock:
-            cpu = next(order)
-        try:
-            os.sched_setaffinity(0, {cpu})  # pid 0: the calling thread alone
-        except OSError:
-            pass
-
-    return pin
-
-
 def _exact_mean_distance(y: np.ndarray, w: np.ndarray, p: float, threads: int) -> float:
     """sum_{a,b} w_a w_b ||y_a - y_b||_p, chunked with a fixed reduction order.
 
@@ -291,8 +256,10 @@ def _exact_mean_distance(y: np.ndarray, w: np.ndarray, p: float, threads: int) -
     diagonal block in full, and the block to its right twice (the sum is
     symmetric).  Distances come from :func:`_pnorm_of_differences` on 2-D
     blocks.  Chunk boundaries depend only on n, and partial sums are reduced
-    in chunk order, so the result is identical for any thread count, and
-    whether :func:`_cpu_pinner` pins the workers or not.
+    in chunk order, so the result is identical for any thread count.  The
+    caller and up to ``threads - 1`` helper threads, no more in all than
+    there are chunks or :func:`usable_cpus`, take chunks from one shared
+    iterator; an exception raised in any of them is raised here.
     """
     n = y.shape[0]
     columns = np.ascontiguousarray(y.T)
@@ -309,14 +276,26 @@ def _exact_mean_distance(y: np.ndarray, w: np.ndarray, p: float, threads: int) -
             dist = _pnorm_of_differences(blocks, p, acc, np.empty_like(acc))
             return float(w[sl] @ (dist @ coef))
 
-    if threads > 1 and len(chunks) > 1:
-        # imported here, so that commands without a parallel double sum skip it
-        from concurrent.futures import ThreadPoolExecutor
+    partials = [0.0] * len(chunks)
+    todo = enumerate(chunks)  # shared by all threads; its next() is atomic under the GIL
+    errors = []
 
-        with ThreadPoolExecutor(max_workers=threads, initializer=_cpu_pinner()) as pool:
-            partials = list(pool.map(part, chunks))
-    else:
-        partials = [part(sl) for sl in chunks]
+    def work() -> None:
+        try:
+            for i, sl in todo:
+                partials[i] = part(sl)
+        except Exception as exc:
+            errors.append(exc)
+
+    workers = min(threads, len(chunks), len(usable_cpus()))
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
     total = 0.0
     for value in partials:
         total += value
@@ -398,7 +377,8 @@ def gini_p(
     2|m*_i| is that component's index in ``component_ginis``, unless some
     m*_i is zero.  For p != 1 it evaluates the double sum over support
     pairs, O(n^2 d), which requires n <= exact_cap and is the only step
-    ``threads`` parallelizes (the value does not depend on ``threads``).
+    ``threads`` parallelizes: on that many threads, the caller included, but
+    no more than :func:`usable_cpus` (the value does not depend on either).
     estimator="pairs" draws ``pairs`` independent index pairs from the
     weight distribution with a fixed seed and reports a standard error
     alongside the estimate.  The indices invert the weight CDF at one seeded

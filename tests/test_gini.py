@@ -879,7 +879,8 @@ class TestGiniP:
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity here")
 class TestWorkerPinning:
-    """The double sum's workers get one CPU each, on a CPU mask of exactly two CPUs."""
+    """The caller is one of the double sum's threads, there are no more of them
+    than CPUs in the mask, and no thread's CPU mask is set."""
 
     @pytest.fixture
     def sample(self):
@@ -888,17 +889,29 @@ class TestWorkerPinning:
         return sample.points, sample.weights
 
     @staticmethod
-    def worker_masks(monkeypatch) -> dict:
-        """The CPU mask of each thread that computes a chunk, by thread id."""
-        masks = {}
+    def chunk_threads(monkeypatch, fail_in_helper=False) -> list:
+        """On a two-CPU mask, the id of the thread that computes each chunk.
+
+        Each thread's first chunk waits until two threads have one, so that
+        neither thread can take every chunk before the other starts.
+        """
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        caller = threading.get_ident()
+        idents = []
+        both = threading.Barrier(2, timeout=30)
         kernel = gini_module._pnorm_of_differences
 
         def recording(*args):
-            masks[threading.get_ident()] = frozenset(os.sched_getaffinity(0))
+            ident = threading.get_ident()
+            if ident not in idents:
+                both.wait()
+            idents.append(ident)
+            if fail_in_helper and ident != caller:
+                raise RuntimeError("chunk failed in a helper")
             return kernel(*args)
 
         monkeypatch.setattr(gini_module, "_pnorm_of_differences", recording)
-        return masks
+        return idents
 
     @staticmethod
     def pins(monkeypatch, mask) -> list:
@@ -913,18 +926,7 @@ class TestWorkerPinning:
 
     @pytest.fixture
     def mask(self):
-        mask = os.sched_getaffinity(0)
-        if len(mask) != 2:
-            pytest.skip("workers are pinned on a two-CPU mask only")
-        return mask
-
-    def test_workers_spanning_the_mask_get_a_cpu_each(self, sample, mask, monkeypatch):
-        masks = self.worker_masks(monkeypatch)
-        _exact_mean_distance(*sample, 2.0, len(mask))
-        workers = [m for ident, m in masks.items() if ident != threading.get_ident()]
-        assert workers
-        assert all(len(m) == 1 and m <= mask for m in workers)
-        assert len(set(workers)) == len(workers)
+        return os.sched_getaffinity(0)
 
     def test_caller_keeps_its_mask(self, sample, mask):
         value = _exact_mean_distance(*sample, 2.0, len(mask))
@@ -940,32 +942,39 @@ class TestWorkerPinning:
         _exact_mean_distance(*sample, 2.0, threads)
         assert calls == []
 
-    @pytest.mark.parametrize("threads", [2, 4, 9])
-    def test_pins_go_round_robin_over_the_mask(self, sample, threads, monkeypatch):
-        cpus = (3, 6)
+    @pytest.mark.parametrize("cpus", [(0, 1), (3, 6), (5,), (0, 2, 4, 6)])
+    def test_at_most_one_unpinned_thread_per_cpu(self, sample, cpus, monkeypatch):
         calls = self.pins(monkeypatch, cpus)
-        _exact_mean_distance(*sample, 2.0, threads)
-        assert calls
-        assert len({ident for ident, _, _ in calls}) == len(calls) <= threads
-        assert threading.get_ident() not in {ident for ident, _, _ in calls}
-        assert all(pid == 0 and len(pinned) == 1 for _, pid, pinned in calls)
-        counts = [sum(pinned == {cpu} for _, _, pinned in calls) for cpu in cpus]
-        # handed out in mask order, so the first CPUs are taken first
-        assert counts == sorted(counts, reverse=True) and counts[0] - counts[-1] <= 1
+        counts = []
+        kernel = gini_module._pnorm_of_differences
 
-    @pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
-    def test_refused_pin_leaves_the_value(self, sample, p, monkeypatch):
-        expected = _exact_mean_distance(*sample, p, 1)
-        refused = []
+        def counting(*args):
+            counts.append(threading.active_count())
+            return kernel(*args)
 
-        def refuse(pid, cpus):
-            refused.append(cpus)
-            raise OSError(22, "Invalid argument")
+        monkeypatch.setattr(gini_module, "_pnorm_of_differences", counting)
+        before = threading.active_count()
+        value = _exact_mean_distance(*sample, 2.0, 64)
+        assert calls == []
+        assert len(counts) == len(_exact_chunks(sample[0].shape[0]))
+        # the caller is one of the len(cpus) threads
+        assert max(counts) <= before + len(cpus) - 1
+        assert value == _exact_mean_distance(*sample, 2.0, 1)
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(os, "sched_setaffinity", refuse)
-        assert _exact_mean_distance(*sample, p, 2) == expected
-        assert refused
+    def test_caller_and_a_helper_each_compute_chunks(self, sample, monkeypatch):
+        expected = _exact_mean_distance(*sample, 2.0, 1)
+        idents = self.chunk_threads(monkeypatch)
+        assert _exact_mean_distance(*sample, 2.0, 2) == expected
+        caller = threading.get_ident()
+        assert len(idents) == len(_exact_chunks(sample[0].shape[0]))
+        assert caller in idents
+        assert {ident for ident in idents if ident != caller}
+
+    def test_helper_error_reaches_the_caller(self, sample, monkeypatch):
+        idents = self.chunk_threads(monkeypatch, fail_in_helper=True)
+        with pytest.raises(RuntimeError, match="chunk failed in a helper"):
+            _exact_mean_distance(*sample, 2.0, 2)
+        assert {ident for ident in idents if ident != threading.get_ident()}
 
 
 def outlier_sample():

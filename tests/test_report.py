@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 from array import array
 from unittest import mock
 
@@ -524,6 +525,28 @@ class TestBuildReport:
             build_report(spike_panels(), p=None)
         with pytest.raises(DataError, match="p must be a number, got 1000"):
             build_report(spike_panels(), p=10**400)
+
+    def test_rows_at_p2_use_every_cpu_of_the_mask(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        groups = ["a"] * 1500 + ["b"] * 600
+        panels = panelize(table(groups, rng.lognormal(0, 0.5, (2100, 3))))
+        threads = []
+        exact = multigini.gini._exact_mean_distance
+
+        def recording(y, w, p, count):
+            threads.append(count)
+            return exact(y, w, p, count)
+
+        monkeypatch.setattr(multigini.gini, "_exact_mean_distance", recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        two = serialize_report(build_report(panels, p=2.0), "json")
+        # groups a and b, then the pooled row; even b's sum spans several chunks
+        assert threads == [2, 2, 2]
+        assert len(multigini.gini._exact_chunks(600)) > 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one = serialize_report(build_report(panels, p=2.0), "json")
+        assert threads[3:] == [1, 1, 1]
+        assert one == two
 
     def test_other_orders_have_no_weights(self):
         report = build_report(spike_panels(), p=2.0)
