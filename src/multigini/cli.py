@@ -14,7 +14,7 @@ import re
 import sys
 
 from .errors import DataError, NumericalError
-from .gini import DEFAULT_EXACT_CAP, gini_p, usable_cpus
+from .gini import DEFAULT_EXACT_CAP, gini_p
 from .report import (
     build_report,
     correlation_json,
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gini.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
                         help="largest n the exact double sum (p != 1) accepts; exact p=1 is "
                              "O(n log n) and uncapped")
-    p_gini.add_argument("--threads", type=int, default=len(usable_cpus()),
+    p_gini.add_argument("--threads", type=int, default=None,
                         help="threads for the exact double sum, used only for p != 1, and "
                              "at most the CPUs this process may run on (default: all of "
                              "them; never changes printed values)")

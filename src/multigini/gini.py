@@ -259,7 +259,8 @@ def _exact_mean_distance(y: np.ndarray, w: np.ndarray, p: float, threads: int) -
     in chunk order, so the result is identical for any thread count.  The
     caller and up to ``threads - 1`` helper threads, no more in all than
     there are chunks or :func:`usable_cpus`, take chunks from one shared
-    iterator; an exception raised in any of them is raised here.
+    iterator.  A thread whose chunk raises empties that iterator, so the
+    others stop after their current chunk, and the exception is raised here.
     """
     n = y.shape[0]
     columns = np.ascontiguousarray(y.T)
@@ -286,6 +287,8 @@ def _exact_mean_distance(y: np.ndarray, w: np.ndarray, p: float, threads: int) -
                 partials[i] = part(sl)
         except Exception as exc:
             errors.append(exc)
+            for _ in todo:  # the other threads stop after their current chunk
+                pass
 
     workers = min(threads, len(chunks), len(usable_cpus()))
     helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
@@ -363,7 +366,7 @@ def gini_p(
     pairs: int = 1_000_000,
     seed: int = 0,
     exact_cap: int = DEFAULT_EXACT_CAP,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> GiniResult:
     """Multivariate Gini-type index of order p.
 
@@ -378,7 +381,9 @@ def gini_p(
     m*_i is zero.  For p != 1 it evaluates the double sum over support
     pairs, O(n^2 d), which requires n <= exact_cap and is the only step
     ``threads`` parallelizes: on that many threads, the caller included, but
-    no more than :func:`usable_cpus` (the value does not depend on either).
+    no more than :func:`usable_cpus`, all of which the default None means.
+    The value depends on neither, and a chunk that raises stops every
+    thread after its current chunk.
     estimator="pairs" draws ``pairs`` independent index pairs from the
     weight distribution with a fixed seed and reports a standard error
     alongside the estimate.  The indices invert the weight CDF at one seeded
@@ -396,6 +401,7 @@ def gini_p(
     """
     p = _validate_p(p)
     _check_method(method)
+    threads = len(usable_cpus()) if threads is None else threads
     for name, value in dict(pairs=pairs, seed=seed, exact_cap=exact_cap, threads=threads).items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise DataError(f"{name} must be an integer, got {value!r}")
@@ -470,7 +476,7 @@ def worst_negative(whitened: np.ndarray) -> float | None:
     otherwise.
     """
     worst = float(whitened.min())
-    if worst < -NEGATIVITY_RTOL * max(1.0, float(np.abs(whitened).max())):
+    if worst < -NEGATIVITY_RTOL * max(1.0, float(whitened.max()), -worst):
         return worst
     return None
 

@@ -20,7 +20,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .gini import GiniResult, _validate_p, gini_1_decomposed, gini_1d, gini_p, usable_cpus
+from .gini import GiniResult, _validate_p, gini_1_decomposed, gini_1d, gini_p
 from .sample import MomentSummary, WeightedSample, moments
 
 POOLED_LABEL = "All"
@@ -108,7 +108,7 @@ def _read_csv(path, metric_columns, positive, group_column=None, name_column=Non
                 # one index returns a str, whose characters += would add
                 cells_of = lambda row, cell=cells_of: (cell(row),)
             group_index = index.get(group_column)
-            cells, labels, missing = [], [], ("",) * d
+            cells, labels, missing, seen = [], [], ("",) * d, {}
             for row in reader:
                 try:
                     cells += cells_of(row)
@@ -117,7 +117,8 @@ def _read_csv(path, metric_columns, positive, group_column=None, name_column=Non
                         continue  # a blank line is skipped, not counted
                     cells += missing
                 if group_index is not None:
-                    labels.append(row[group_index].strip() if group_index < len(row) else "")
+                    label = row[group_index].strip() if group_index < len(row) else ""
+                    labels.append(seen.setdefault(label, label))  # one str per distinct label
                 if len(cells) >= _CELL_BATCH:
                     _convert_cells(cells, values)
                     cells.clear()
@@ -202,7 +203,7 @@ def panelize(table: PanelTable, min_group_size: int = 2) -> PanelSet:
     return PanelSet(groups=groups, pooled=WeightedSample(table.values))
 
 
-def _row_for_sample(label: str, sample: WeightedSample, p: float, threads: int) -> GroupRow:
+def _row_for_sample(label: str, sample: WeightedSample, p: float) -> GroupRow:
     # one degenerate group must not kill the whole report: each part that
     # fails turns into an error note, the rest is kept
     metric_ginis = None
@@ -216,7 +217,7 @@ def _row_for_sample(label: str, sample: WeightedSample, p: float, threads: int) 
         notes.append(str(exc))
     # above the exact cap (p != 1) a DataError is raised, which is one row's note too
     try:
-        result = gini_1_decomposed(sample) if p == 1.0 else gini_p(sample, p, threads=threads)
+        result = gini_1_decomposed(sample) if p == 1.0 else gini_p(sample, p)
     except (NumericalError, DataError) as exc:
         notes.append(str(exc))
     return GroupRow(label, sample.n, metric_ginis, result, "; ".join(notes) or None)
@@ -228,8 +229,8 @@ def build_report(panels: PanelSet, p: float = 1.0, metric_names=None) -> Inequal
     Rows are ordered by group name with the pooled row last.  Groups whose
     covariance is singular get an error note instead of aborting; an
     invalid p is a :class:`DataError` before any row.  At p != 1 each row's
-    exact double sum runs on every CPU this process may run on
-    (:func:`usable_cpus`), which never changes a value.  The pooled moments
+    exact double sum runs on :func:`gini_p`'s default threads, every CPU this
+    process may run on, which never changes a value.  The pooled moments
     come from the pooled row's fit, and are computed here only when that
     row has no index.
     """
@@ -245,12 +246,8 @@ def build_report(panels: PanelSet, p: float = 1.0, metric_names=None) -> Inequal
     for j, name in enumerate(metric_names):
         if name in metric_names[:j]:
             raise DataError(f"metric name {name!r} listed twice")
-    threads = len(usable_cpus())
-    rows = [
-        _row_for_sample(name, sample, p, threads)
-        for name, sample in sorted(panels.groups.items())
-    ]
-    rows.append(_row_for_sample(POOLED_LABEL, panels.pooled, p, threads))
+    rows = [_row_for_sample(name, sample, p) for name, sample in sorted(panels.groups.items())]
+    rows.append(_row_for_sample(POOLED_LABEL, panels.pooled, p))
     pooled = rows[-1].result
     pooled_moments = moments(panels.pooled) if pooled is None else pooled.transform.fitted_moments
     return InequalityReport(p=p, metrics=metric_names, pooled=pooled_moments, rows=tuple(rows))

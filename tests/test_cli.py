@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from multigini import WeightedSample
-from multigini.cli import build_parser
 from multigini.gini import _exact_chunks
 from multigini.synth import gen_spike_cube, pca_instability_fixture, write_sample_csv
 
@@ -278,20 +277,6 @@ class TestGiniCommand:
             four = run_cli(*args, "--threads", "4")
             assert one.returncode == four.returncode == 0
             assert one.stdout == four.stdout
-
-    def test_threads_default_to_the_usable_cpus(self, monkeypatch):
-        argv = ["gini", "--input", "x.csv", "--columns", "a"]
-        if hasattr(os, "sched_getaffinity"):
-            assert build_parser().parse_args(argv).threads == len(os.sched_getaffinity(0))
-            # a restricted cpuset, not the machine's core count
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5, 9})
-            monkeypatch.setattr(os, "cpu_count", lambda: 64)
-            assert build_parser().parse_args(argv).threads == 3
-            monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        assert build_parser().parse_args(argv).threads == 6
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert build_parser().parse_args(argv).threads == 1
 
     def test_pairs_estimator_prints_seed(self, spike_csv):
         proc = run_cli(

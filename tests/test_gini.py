@@ -3,6 +3,7 @@ import math
 import os
 import re
 import threading
+import time
 import warnings
 from fractions import Fraction
 
@@ -809,6 +810,37 @@ class TestGiniP:
         y, w = sample.points, sample.weights
         assert _exact_mean_distance(y, w, p, 1) == _exact_mean_distance(y, w, p, 4)
 
+    def test_threads_default_to_the_usable_cpus(self, monkeypatch):
+        sample = WeightedSample(np.random.default_rng(45).lognormal(0.0, 0.5, (1000, 2)))
+        assert len(_exact_chunks(sample.n)) > 2
+        threads = []
+        exact = gini_module._exact_mean_distance
+
+        def recording(y, w, p, count):
+            threads.append(count)
+            return exact(y, w, p, count)
+
+        monkeypatch.setattr(gini_module, "_exact_mean_distance", recording)
+        expected = gini_p(sample, 2.0, threads=1).value
+        threads.clear()
+        if hasattr(os, "sched_getaffinity"):
+            # a restricted cpuset, not the machine's core count
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5, 9})
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
+            assert gini_p(sample, 2.0).value == expected
+            assert threads.pop() == 3
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert gini_p(sample, 2.0).value == expected
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert gini_p(sample, 2.0).value == expected
+        assert threads == [6, 1]
+
+    def test_threads_none_is_the_default(self):
+        sample = WeightedSample(np.random.default_rng(46).lognormal(0.0, 0.5, (1000, 3)))
+        value = gini_p(sample, 2.0, threads=None).value
+        assert value == gini_p(sample, 2.0).value == gini_p(sample, 2.0, threads=1).value
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_must_be_positive(self, threads):
         with pytest.raises(DataError, match="threads must be >= 1"):
@@ -816,7 +848,6 @@ class TestGiniP:
 
     @pytest.mark.parametrize("name, value, estimator", [
         ("threads", "2", "exact"),
-        ("threads", None, "exact"),
         ("threads", True, "exact"),
         ("exact_cap", "10", "exact"),
         ("exact_cap", math.nan, "exact"),
@@ -880,7 +911,8 @@ class TestGiniP:
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity here")
 class TestWorkerPinning:
     """The caller is one of the double sum's threads, there are no more of them
-    than CPUs in the mask, and no thread's CPU mask is set."""
+    than CPUs in the mask, no thread's CPU mask is set, and a chunk that raises
+    stops them all."""
 
     @pytest.fixture
     def sample(self):
@@ -975,6 +1007,35 @@ class TestWorkerPinning:
         with pytest.raises(RuntimeError, match="chunk failed in a helper"):
             _exact_mean_distance(*sample, 2.0, 2)
         assert {ident for ident in idents if ident != threading.get_ident()}
+
+    @pytest.mark.parametrize("fails_in", ["caller", "helper"])
+    def test_failed_chunk_stops_every_thread(self, sample, fails_in, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        caller = threading.get_ident()
+        both = threading.Barrier(2, timeout=30)
+        failed = threading.Event()
+        idents = []
+        kernel = gini_module._pnorm_of_differences
+
+        def failing(*args):
+            ident = threading.get_ident()
+            if ident not in idents:
+                both.wait()  # both threads hold a chunk
+            idents.append(ident)
+            if (ident == caller) == (fails_in == "caller"):
+                failed.set()
+                raise RuntimeError(f"chunk failed in the {fails_in}")
+            # the other thread finishes its chunk only after the failure
+            failed.wait(30)
+            time.sleep(0.05)
+            return kernel(*args)
+
+        monkeypatch.setattr(gini_module, "_pnorm_of_differences", failing)
+        with pytest.raises(RuntimeError, match=f"chunk failed in the {fails_in}"):
+            _exact_mean_distance(*sample, 2.0, 2)
+        # one chunk per thread, of the sample's more than 8
+        assert len(idents) == 2
+        assert len(set(idents)) == 2
 
 
 def outlier_sample():

@@ -77,6 +77,17 @@ class TestLoadCsv:
         np.testing.assert_array_equal(panel.values[0], [100.0, 50.0, 80.0])
         assert panel.groups.tolist() == ["US", "US", "JP"]
 
+    def test_equal_labels_are_one_object(self, tmp_path):
+        # one str per distinct label, not one per row; CPython already shares
+        # one-character strings, so the labels here are longer
+        path = write(
+            tmp_path / "data.csv",
+            "group,rev\nregion-07,1\n region-07 ,2\nregion-11,3\nregion-07,4\nregion-11,5\n",
+        )
+        groups = load_csv(path, ["rev"])[0].groups
+        assert groups.tolist() == ["region-07", "region-07", "region-11", "region-07", "region-11"]
+        assert len({id(label) for label in groups}) == 2
+
     def test_blank_cell_dropped(self, tmp_path):
         path = write(
             tmp_path / "data.csv",

@@ -219,6 +219,35 @@ class TestApply:
         assert worst_negative(np.array([[-2e-9, 10.0]])) is None
         assert worst_negative(np.array([[-2e-8, 10.0]])) == -2e-8
 
+    @pytest.mark.parametrize("kind", ["mixed", "negative", "positive", "zeros", "huge", "tiny"])
+    def test_worst_negative_reads_the_largest_magnitude_from_both_ends(self, kind):
+        # max |x| = max(max x, -min x): the same threshold as the |x| array gives
+        def by_magnitude(whitened):
+            worst = float(whitened.min())
+            if worst < -1e-9 * max(1.0, float(np.abs(whitened).max())):
+                return worst
+            return None
+
+        rng = np.random.default_rng(83)
+        for _ in range(200):
+            x = rng.standard_normal((int(rng.integers(1, 40)), int(rng.integers(1, 5))))
+            x *= 10.0 ** rng.uniform(-12, 3)
+            if kind == "negative":
+                x = -np.abs(x)
+            elif kind == "positive":
+                x = np.abs(x)
+            elif kind == "zeros":
+                x = np.where(x < 0, -0.0, 0.0)
+                x.flat[0] = -1e-300 * rng.random()
+            elif kind == "huge":
+                x = x / np.abs(x).max() * 1e300
+            elif kind == "tiny":
+                # a negative entry just past or short of its threshold
+                x = np.abs(x) + 1.0
+                x.flat[0] = -1e-9 * x.max() * rng.choice([0.999999, 1.000001])
+            assert worst_negative(x) == by_magnitude(x)
+            assert worst_negative(-x) == by_magnitude(-x)
+
     def test_bundled_generators_whiten_non_negative(self):
         from multigini.synth import gen_coinflip_cube, gen_spike_cube
 
