@@ -110,6 +110,13 @@ class GiniResult:
         }
 
 
+def _check_integers(**counts) -> None:
+    """A :class:`DataError` for the first of ``counts`` that is a bool or not an integer."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DataError(f"{name} must be an integer, got {value!r}")
+
+
 def _validate_p(p) -> float:
     try:
         p = float(p)
@@ -402,21 +409,18 @@ def gini_p(
     p = _validate_p(p)
     _check_method(method)
     threads = len(usable_cpus()) if threads is None else threads
-    for name, value in dict(pairs=pairs, seed=seed, exact_cap=exact_cap, threads=threads).items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise DataError(f"{name} must be an integer, got {value!r}")
+    _check_integers(pairs=pairs, seed=seed, exact_cap=exact_cap, threads=threads)
     if threads < 1:
         raise DataError(f"threads must be >= 1, got {threads}")
     if exact_cap < 0:
         raise DataError(f"exact cap must be >= 0, got {exact_cap}")
-    if estimator == "pairs":
-        if pairs < 1:
-            raise DataError("pair count must be positive")
-        if seed < 0:
-            raise DataError(f"seed must be >= 0, got {seed}")
-    elif estimator != "exact":
+    if pairs < 1:
+        raise DataError("pair count must be positive")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
+    if estimator not in ("exact", "pairs"):
         raise DataError(f"unknown estimator {estimator!r}; choose 'exact' or 'pairs'")
-    elif p != 1.0 and sample.n > exact_cap:
+    if estimator == "exact" and p != 1.0 and sample.n > exact_cap:
         raise DataError(
             f"exact estimator capped at n={exact_cap} (sample has {sample.n}); "
             "use the pair-sampling estimator"

@@ -20,7 +20,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .gini import GiniResult, _validate_p, gini_1_decomposed, gini_1d, gini_p
+from .gini import GiniResult, _check_integers, _validate_p, gini_1_decomposed, gini_1d, gini_p
 from .sample import MomentSummary, WeightedSample, moments
 
 POOLED_LABEL = "All"
@@ -182,6 +182,7 @@ def panelize(table: PanelTable, min_group_size: int = 2) -> PanelSet:
     table order.  Groups smaller than ``min_group_size`` are excluded from
     the per-group map but still contribute to the pooled sample.
     """
+    _check_integers(min_group_size=min_group_size)
     if min_group_size < 2:
         raise DataError(f"min_group_size must be >= 2, got {min_group_size}")
     if table.groups is None:

@@ -19,9 +19,9 @@ from .errors import DataError, NumericalError
 # as zero when it does not exceed this fraction of the magnitude it is tested against.
 DEGENERACY_RTOL = 1e-12
 
-# _exact_column_sums works through a matrix in blocks of about this many
-# entries, which keeps its temporaries in cache.  A block must have fewer than
-# 2^26 rows for its float64 bin sums to stay exact.
+# _exact_column_sums works through each column in blocks of this many
+# entries, which keeps its temporaries in cache.  A block must hold fewer than
+# 2^26 entries for its float64 bin sums to stay exact.
 _SUM_BLOCK_ENTRIES = 1 << 14
 _EXPONENT_BINS = 2098  # np.frexp exponents of finite doubles: -1073 to 1024
 
@@ -198,30 +198,27 @@ def _exact_column_sums(x: np.ndarray) -> np.ndarray:
     depend on the order of the rows.  ``np.frexp`` writes each double,
     subnormals included, as m 2^e with -1073 <= e <= 1024 and |m| < 1.  The
     high part trunc(m 2^27) is a signed integer of 27 bits and the rest,
-    m 2^27 - high, a multiple of 2^-26 below 1 in magnitude; ``np.bincount``
-    sums each per (column, e) bin in float64, exactly (53 bits) while a
-    block has fewer than 2^26 rows.  Python ints then add the bins, the
-    rest's sums times 2^26, without rounding, and one int / int division,
-    which Python rounds correctly, gives each column's sum.
+    m 2^27 - high, a multiple of 2^-26 below 1 in magnitude; one column at
+    a time, ``np.bincount`` sums each per e bin in float64, exactly (53 bits)
+    while a block holds fewer than 2^26 entries.  Python ints then add the
+    column's bins, the rest's sums times 2^26, without rounding, and one
+    int / int division, which Python rounds correctly, gives its sum.
     """
-    n, d = x.shape
-    bins = np.arange(d) * _EXPONENT_BINS + 1073
-    high, low = np.zeros((2, d * _EXPONENT_BINS), dtype=np.int64)
-    rows = max(1, _SUM_BLOCK_ENTRIES // d)
-    for start in range(0, n, rows):
-        mantissa, exponent = np.frexp(x[start:start + rows])
-        mantissa *= 2.0**27
-        high_part = np.trunc(mantissa)
-        mantissa -= high_part
-        index = (exponent + bins).ravel()
-        high += np.bincount(index, high_part.ravel(), high.size).astype(np.int64)
-        low += np.ldexp(np.bincount(index, mantissa.ravel(), low.size), 26).astype(np.int64)
-    totals = [0] * d
-    used = np.flatnonzero(high | low)
-    for b, h, lo in zip(used.tolist(), high[used].tolist(), low[used].tolist()):
-        column, shift = divmod(b, _EXPONENT_BINS)
-        totals[column] += ((h << 26) + lo) << shift
-    return np.array([total / (1 << 1126) for total in totals])
+    sums = []
+    for column in x.T:
+        high, low = np.zeros((2, _EXPONENT_BINS), dtype=np.int64)
+        for start in range(0, len(column), _SUM_BLOCK_ENTRIES):
+            mantissa, exponent = np.frexp(column[start:start + _SUM_BLOCK_ENTRIES])
+            mantissa *= 2.0**27
+            high_part = np.trunc(mantissa)
+            mantissa -= high_part
+            exponent += 1073
+            high += np.bincount(exponent, high_part, _EXPONENT_BINS).astype(np.int64)
+            low += np.ldexp(np.bincount(exponent, mantissa, _EXPONENT_BINS), 26).astype(np.int64)
+        used = np.flatnonzero(high | low)
+        bins = zip(used.tolist(), high[used].tolist(), low[used].tolist())
+        sums.append(sum(((h << 26) + lo) << shift for shift, h, lo in bins) / (1 << 1126))
+    return np.array(sums)
 
 
 def moments(sample: WeightedSample) -> MomentSummary:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DataError
 from .gini import (
+    _check_integers,
     _exact_mean_distance,
     _whitened,
     _whitened_mean_norm,
@@ -320,6 +321,7 @@ def run_checks(
     seed: int = DEFAULT_SEED, tamper: bool = False, names: list[str] | None = None
 ) -> list[CheckResult]:
     """Run the named checks (all by default); deterministic for a fixed seed."""
+    _check_integers(seed=seed)
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
     if names is not None:

@@ -6,6 +6,9 @@ values and elapsed time per criterion.  Run with ``pytest -v -s`` to see
 the per-criterion lines.
 """
 
+import math
+import re
+
 import pytest
 
 from multigini import DataError
@@ -44,3 +47,9 @@ def test_empty_check_list_is_data_error():
 def test_negative_seed_is_data_error():
     with pytest.raises(DataError, match="seed must be >= 0, got -20"):
         run_checks(seed=-20)
+
+
+@pytest.mark.parametrize("seed", [1.5, math.nan, "3"])
+def test_seed_must_be_an_integer(seed):
+    with pytest.raises(DataError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+        run_checks(seed=seed, names=["reference-eigenvalues"])

@@ -184,6 +184,20 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr == f"multigini: data error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--pairs", "0", "pair count must be positive"), ("--seed", "-1", "seed must be >= 0, got -1")],
+    )
+    def test_pair_arguments_checked_for_the_exact_estimator(self, tmp_path, flag, value, message):
+        path = tmp_path / "t.csv"
+        path.write_text("name,group,a,b\nw,g,1,3\nx,g,2,5\ny,g,4,4\nz,g,3,9\n", encoding="utf-8")
+        args = ("gini", "--input", str(path), "--columns", "a,b", "--p", "1")
+        assert run_cli(*args).returncode == 0
+        proc = run_cli(*args, flag, value)
+        assert proc.returncode == 2
+        assert proc.stderr == f"multigini: data error: {message}\n"
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("estimator", ["exact", "pairs"])
     @pytest.mark.parametrize("p", ["1000", "1e6"])
     def test_large_p_is_numerical_error(self, tmp_path, estimator, p):

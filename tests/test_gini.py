@@ -882,6 +882,9 @@ class TestGiniP:
             ({"exact_cap": -3}, "exact cap must be >= 0, got -3"),
             ({"estimator": "pairs", "exact_cap": -1}, "exact cap must be >= 0, got -1"),
             ({"method": "bogus"}, "unknown whitening method 'bogus'"),
+            # the pair count and seed ranges hold for the exact estimator too
+            ({"pairs": 0}, "pair count must be positive"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
         ],
     )
     def test_argument_errors_come_before_numerical_ones(self, arguments, message):

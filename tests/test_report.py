@@ -336,6 +336,11 @@ class TestPanelize:
         with pytest.raises(DataError, match="min_group_size"):
             panelize(self.table({"A": 3}), min_group_size=1)
 
+    @pytest.mark.parametrize("value", [math.nan, "3", 2.5, True])
+    def test_threshold_must_be_an_integer(self, value):
+        with pytest.raises(DataError, match=f"min_group_size must be an integer, got {value!r}"):
+            panelize(self.table({"A": 3}), min_group_size=value)
+
     def test_label_count_validated(self):
         with pytest.raises(DataError, match="group labels"):
             panelize(table(["A", "A"], np.ones((3, 2))))

@@ -357,6 +357,7 @@ class TestExactColumnSums:
         pytest.param(range_edge_columns(2), id="range-edges-d2"),
         pytest.param(range_edge_columns(3), id="range-edges-d3"),
         pytest.param(range_edge_columns(8), id="range-edges-d8"),
+        pytest.param(np.asfortranarray(range_edge_columns(8)), id="range-edges-d8-fortran"),
     ])
     def test_cancellation_zeros_and_range_edges(self, column):
         x = np.array(column).reshape(len(column), -1)
@@ -367,12 +368,28 @@ class TestExactColumnSums:
     @pytest.mark.parametrize("d", [1, 3, 8])
     def test_many_blocks_of_the_default_size(self, d):
         n = 50_000
-        assert n * d > 2 * multigini.sample._SUM_BLOCK_ENTRIES
+        # every column spans at least three blocks
+        assert n > 2 * multigini.sample._SUM_BLOCK_ENTRIES
         rng = np.random.default_rng(d)
         x = rng.lognormal(0.0, 2.0, (n, d)) * rng.choice([-1.0, 1.0], (n, d))
         for j in range(d):
             x[rng.choice(n, len(_RANGE_EDGES), replace=False), j] = _RANGE_EDGES
         assert exact_sums_hex(x) == [fsum_hex(values) for values in x.T.tolist()]
+
+    def test_one_exponent_accumulator_per_column(self, monkeypatch):
+        bin_counts, bincount = [], np.bincount
+
+        def spy(index, weights, minlength):
+            bin_counts.append(minlength)
+            return bincount(index, weights, minlength)
+
+        monkeypatch.setattr(multigini.sample.np, "bincount", spy)
+        x = np.random.default_rng(8).lognormal(0.0, 2.0, (5_000, 8))
+        sums = _exact_column_sums(x)
+        monkeypatch.undo()
+        assert [value.hex() for value in sums.tolist()] == [fsum_hex(values) for values in x.T.tolist()]
+        # one block a column, binned twice (high and low parts)
+        assert bin_counts == [multigini.sample._EXPONENT_BINS] * 16
 
     def test_weights_normalized_by_the_exact_sum(self):
         w = np.array([1e16, 1.0, 3.0, 1e-3])
