@@ -14,7 +14,7 @@ import re
 import sys
 
 from .errors import DataError, NumericalError
-from .gini import DEFAULT_EXACT_CAP, gini_p
+from .gini import DEFAULT_EXACT_CAP, ESTIMATORS, gini_p
 from .report import (
     build_report,
     correlation_json,
@@ -27,14 +27,20 @@ from .report import (
     summary_lines,
 )
 from .sample import WeightedSample, moments
-from .whitening import METHODS, fit_whitening, scale_stability_check
+from .whitening import METHODS, SCALE_STABLE_METHODS, fit_whitening, scale_stability_check
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-_METHOD_FLAGS = {method.replace("_", "-"): method for method in METHODS}
+
+def _method_flags(methods) -> dict[str, str]:
+    """Each whitening method's ``--method`` flag, hyphenated, mapped to its name."""
+    return {method.replace("_", "-"): method for method in methods}
+
+
+_METHOD_FLAGS = _method_flags(METHODS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,11 +177,11 @@ def cmd_verify(args) -> int:
     from .verify import DEFAULT_SEED, run_checks
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
+    names = None if args.checks is None else _split(args.checks)
+    results = run_checks(seed=seed, tamper=args.tamper, names=names)
     print(f"seed: {seed}")
     if args.tamper:
         print("tamper mode: one tolerance deliberately made impossible")
-    names = None if args.checks is None else _split(args.checks)
-    results = run_checks(seed=seed, tamper=args.tamper, names=names)
     failures = 0
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -212,11 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gini.add_argument("--p", default="1", help="index order, a real >= 1 or 'inf' (default 1)")
     p_gini.add_argument(
         "--method",
-        choices=("zca-cor", "cholesky"),
+        choices=tuple(_method_flags(SCALE_STABLE_METHODS)),
         default="zca-cor",
         help="scale stable whitening to use (default zca-cor)",
     )
-    p_gini.add_argument("--estimator", choices=("exact", "pairs"), default="exact")
+    p_gini.add_argument("--estimator", choices=ESTIMATORS, default="exact")
     p_gini.add_argument("--pairs", type=int, default=1_000_000, help="pair count for --estimator pairs")
     p_gini.add_argument("--seed", type=int, default=0, help="seed for --estimator pairs")
     p_gini.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,

@@ -35,12 +35,15 @@ from .sample import (
     _floats,
     moments,
 )
-from .whitening import WhiteningTransform, _check_method, fit_whitening
+from .whitening import SCALE_STABLE_METHODS, WhiteningTransform, _check_method, fit_whitening
 
 # Size cap (n support points) of the exact double sum used for p != 1; above
 # this, pair sampling is the intended route.  ~2e8 pair evaluations per
 # component at the cap.  Exact p = 1 sorts instead and is not capped.
 DEFAULT_EXACT_CAP = 20_000
+
+# The estimators of ``gini_p``: the exact sum, or seeded pair sampling.
+ESTIMATORS = ("exact", "pairs")
 
 # Fixed evaluation chunk sizes.  These are constants (never derived from the
 # thread count), so chunk boundaries, and with them the printed bits, depend
@@ -119,6 +122,8 @@ def _check_integers(**counts) -> None:
 
 def _validate_p(p) -> float:
     try:
+        if isinstance(p, (bool, np.bool_)):  # float(True) is 1.0, but a flag is no order
+            raise TypeError
         p = float(p)
     except (TypeError, ValueError, OverflowError):
         raise DataError(f"p must be a number, got {p!r}") from None
@@ -377,9 +382,13 @@ def gini_p(
 ) -> GiniResult:
     """Multivariate Gini-type index of order p.
 
-    Whitens the sample with the requested scale stable transform (fitted on
-    the sample's own moments, and returned in ``transform``), then evaluates
-    the expected whitened pair distance over twice the whitened-mean p-norm.
+    Whitens the sample with the requested scale stable transform, one of
+    ``SCALE_STABLE_METHODS``: ``zca_cor`` (the default) or ``cholesky``,
+    fitted on the sample's own moments and returned in ``transform``.  Then
+    evaluates the expected whitened pair distance over twice the
+    whitened-mean p-norm.  ``zca`` and ``pca`` are not scale stable, so the
+    index refuses them; they remain for :func:`fit_whitening`, the
+    ``whiten`` command and :func:`scale_stability_check`.
 
     estimator="exact" is exact up to roundoff.  For p = 1 it sums the
     per-component mean absolute differences, each by one sort and one
@@ -399,7 +408,8 @@ def gini_p(
     at a time, in component order.
 
     Arguments are checked before any moment or fit, so a bad ``p``,
-    ``method``, ``estimator``, or integer ``pairs``, ``seed``, ``threads``
+    ``method`` (unknown, or not scale stable), ``estimator`` (not in
+    ``ESTIMATORS``), or integer ``pairs``, ``seed``, ``threads``
     or ``exact_cap``, or a sample above ``exact_cap`` for the exact
     estimator at p != 1, is a :class:`DataError` even on a singular sample.
     Raises :class:`NumericalError` when the whitened mean is zero, or when p
@@ -408,6 +418,11 @@ def gini_p(
     """
     p = _validate_p(p)
     _check_method(method)
+    if method not in SCALE_STABLE_METHODS:
+        raise DataError(
+            f"{method} whitening is not scale stable; the index takes "
+            f"{' or '.join(map(repr, SCALE_STABLE_METHODS))}"
+        )
     threads = len(usable_cpus()) if threads is None else threads
     _check_integers(pairs=pairs, seed=seed, exact_cap=exact_cap, threads=threads)
     if threads < 1:
@@ -418,8 +433,10 @@ def gini_p(
         raise DataError("pair count must be positive")
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
-    if estimator not in ("exact", "pairs"):
-        raise DataError(f"unknown estimator {estimator!r}; choose 'exact' or 'pairs'")
+    if estimator not in ESTIMATORS:
+        raise DataError(
+            f"unknown estimator {estimator!r}; choose {' or '.join(map(repr, ESTIMATORS))}"
+        )
     if estimator == "exact" and p != 1.0 and sample.n > exact_cap:
         raise DataError(
             f"exact estimator capped at n={exact_cap} (sample has {sample.n}); "
@@ -498,8 +515,11 @@ def gini_1_decomposed(sample: WeightedSample, *, method: str = "zca_cor") -> Gin
 
     Returns ``gini_p(sample, 1, method=method)``, whose ``value`` equals
     ``weights @ component_ginis``: the indices of the whitened components
-    combined with weights |m*_i| / sum_j |m*_j|.  Unlike ``gini_p``, rejects
-    a zero whitened component mean, whose one-dimensional index is undefined.
+    combined with weights |m*_i| / sum_j |m*_j|.  ``method`` is ``zca_cor``
+    (the default) or ``cholesky``, as for ``gini_p``; ``zca`` and ``pca``
+    remain for :func:`fit_whitening`, ``whiten`` and
+    :func:`scale_stability_check`.  Unlike ``gini_p``, rejects a zero
+    whitened component mean, whose one-dimensional index is undefined.
     """
     result = gini_p(sample, 1.0, method=method)
     if result.component_ginis is None:

@@ -44,7 +44,7 @@ from .synth import (
     rational_mean_abs_difference,
     write_sample_csv,
 )
-from .whitening import METHODS, fit_whitening, scale_stability_check
+from .whitening import METHODS, SCALE_STABLE_METHODS, fit_whitening, scale_stability_check
 
 DEFAULT_SEED = 20240
 
@@ -121,7 +121,7 @@ def check_scale_stability_suite(seed: int, tamper: bool) -> tuple[bool, str]:
         q = np.exp(rng.uniform(np.log(0.1), np.log(10.0), dim))
         base = fit_whitening("zca_cor", moments(sample))
         scale = max(1.0, float(np.abs(base.apply(sample)).max()))
-        for method in ("cholesky", "zca_cor"):
+        for method in SCALE_STABLE_METHODS:
             dev = scale_stability_check(method, sample, q) / scale
             worst = max(worst, dev)
     return worst <= 1e-9, f"worst relative deviation {worst:.3e} over 100 trials (tolerance 1e-9)"
@@ -324,6 +324,8 @@ def run_checks(
     _check_integers(seed=seed)
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
+    if isinstance(names, str):
+        raise DataError(f"check names must be a list, got the string {names!r}")
     if names is not None:
         if not names:
             raise DataError("no check names given")

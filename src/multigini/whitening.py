@@ -12,7 +12,9 @@ W S W^T = I (equivalently W^T W = S^{-1}).  The four constructions:
 where S = Z T Z^T and P = O L O^T are the eigendecompositions of the
 covariance and correlation matrices.  cholesky and zca_cor are scale
 stable: rescaling the input components by any positive diagonal matrix
-leaves the whitened output unchanged.  pca is not.
+leaves the whitened output unchanged.  pca and zca are not.  The index
+(``gini_p``) takes only the methods in ``SCALE_STABLE_METHODS``; all four
+can be fitted, applied and probed with ``scale_stability_check``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .sample import (
 )
 
 METHODS = ("zca", "pca", "cholesky", "zca_cor")
+SCALE_STABLE_METHODS = ("zca_cor", "cholesky")
 
 # A fit whose whiteness residual max|W S W^T - I| exceeds this is rejected.
 # zca and pca lose whiteness to roundoff on components of widely different

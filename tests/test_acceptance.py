@@ -44,6 +44,13 @@ def test_empty_check_list_is_data_error():
         run_checks(names=[])
 
 
+def test_string_of_check_names_is_data_error():
+    # a string would otherwise be read as a list of one-letter names
+    message = "check names must be a list, got the string 'rising-tide'"
+    with pytest.raises(DataError, match=message):
+        run_checks(names="rising-tide")
+
+
 def test_negative_seed_is_data_error():
     with pytest.raises(DataError, match="seed must be >= 0, got -20"):
         run_checks(seed=-20)

@@ -222,6 +222,12 @@ class TestExitCodes:
         assert proc.stderr == "multigini: data error: seed must be >= 0, got -20\n"
         assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
 
+    @pytest.mark.parametrize("args", [("--seed", "-1"), ("--checks", ",")])
+    def test_verify_prints_nothing_before_rejecting_its_arguments(self, args):
+        proc = run_cli("verify", *args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("command", ["gini", "summary", "corr", "whiten", "report"])
     def test_covariance_overflow_is_numerical_error(self, tmp_path, command):
         path = tmp_path / "huge.csv"
@@ -324,6 +330,18 @@ class TestGiniCommand:
     def test_pca_method_rejected(self, spike_csv):
         proc = run_cli("gini", "--input", spike_csv, "--columns", "m1,m2,m3", "--method", "pca")
         assert proc.returncode == 1
+
+    def test_method_and_estimator_choices_are_the_library_ones(self, spike_csv):
+        from multigini.gini import ESTIMATORS
+        from multigini.whitening import SCALE_STABLE_METHODS
+
+        args = ("gini", "--input", spike_csv, "--columns", "m1,m2,m3")
+        flags = tuple(method.replace("_", "-") for method in SCALE_STABLE_METHODS)
+        assert flags == ("zca-cor", "cholesky")
+        for option, choices in (("--method", flags), ("--estimator", ESTIMATORS)):
+            usage = run_cli(*args, option, "ica")
+            assert usage.returncode == 1
+            assert f"(choose from {', '.join(map(repr, choices))})" in usage.stderr
 
     def test_max_norm_order(self, spike_csv):
         proc = run_cli(

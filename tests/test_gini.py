@@ -47,6 +47,7 @@ from multigini.synth import (
     rational_gini_1d,
     rational_mean_abs_difference,
 )
+from multigini.whitening import METHODS, SCALE_STABLE_METHODS
 
 
 def random_nonneg_sample(rng, d, n, weighted=False):
@@ -778,7 +779,7 @@ class TestGiniP:
         transform = fit_whitening("zca_cor", moments(sample))
         assert abs(value - brute_force_gini_p(sample, 1.0, transform)) <= 1e-12
 
-    @pytest.mark.parametrize("method", ["zca_cor", "cholesky"])
+    @pytest.mark.parametrize("method", SCALE_STABLE_METHODS)
     @pytest.mark.parametrize("p, estimator", [(1.0, "exact"), (2.0, "exact"), (2.0, "pairs")])
     def test_result_carries_its_fit(self, p, estimator, method):
         rng = np.random.default_rng(44)
@@ -800,6 +801,21 @@ class TestGiniP:
         sample = gen_spike_cube(0.3, 1)
         with pytest.raises(DataError, match="estimator"):
             gini_p(sample, 1.0, estimator="bootstrap")
+
+    @pytest.mark.parametrize("method", ["zca", "pca"])
+    def test_whitening_that_is_not_scale_stable_is_rejected(self, method):
+        sample = WeightedSample(np.random.default_rng(3).lognormal(0.0, 0.7, (300, 3)))
+        m = moments(sample)
+        assert all(fit_whitening(name, m).whiteness_residual < 1e-12 for name in METHODS)
+        assert set(METHODS) - set(SCALE_STABLE_METHODS) == {"zca", "pca"}
+        message = (f"{method} whitening is not scale stable; "
+                   "the index takes 'zca_cor' or 'cholesky'")
+        for p in (1.0, 2.0, math.inf):
+            for estimator in ("exact", "pairs"):
+                with pytest.raises(DataError, match=re.escape(message)):
+                    gini_p(sample, p, method=method, estimator=estimator, pairs=100)
+        with pytest.raises(DataError, match=re.escape(message)):
+            gini_1_decomposed(sample, method=method)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
     def test_threads_do_not_change_value(self, p):
@@ -885,6 +901,7 @@ class TestGiniP:
             # the pair count and seed ranges hold for the exact estimator too
             ({"pairs": 0}, "pair count must be positive"),
             ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"method": "pca"}, "pca whitening is not scale stable"),
         ],
     )
     def test_argument_errors_come_before_numerical_ones(self, arguments, message):
@@ -902,7 +919,7 @@ class TestGiniP:
 
     def test_p_that_is_not_a_number_is_a_data_error(self):
         sample = gen_spike_cube(0.3, 2)
-        for p in (None, "abc", [1.0, 2.0]):
+        for p in (None, "abc", [1.0, 2.0], True, False, np.True_):
             with pytest.raises(DataError, match=re.escape(f"p must be a number, got {p!r}")):
                 gini_p(sample, p)
         # an int too large for a float overflows float(p)
@@ -1088,7 +1105,7 @@ class TestLargeP:
 class TestScaleFreeDegeneracy:
     """Degeneracy is judged per component, so no rescaling can trigger it."""
 
-    @pytest.mark.parametrize("method", ["zca_cor", "cholesky"])
+    @pytest.mark.parametrize("method", SCALE_STABLE_METHODS)
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_tiny_or_huge_component_scale_keeps_value(self, method, p):
         rng = np.random.default_rng(45)
@@ -1098,7 +1115,7 @@ class TestScaleFreeDegeneracy:
             value = gini_p(sample.scaled(q), p, method=method).value
             assert value == pytest.approx(base, rel=1e-9, abs=0.0)
 
-    @pytest.mark.parametrize("method", ["zca_cor", "cholesky"])
+    @pytest.mark.parametrize("method", SCALE_STABLE_METHODS)
     def test_constant_component_still_rejected(self, method):
         rng = np.random.default_rng(44)
         points = rng.lognormal(size=(7, 3))
@@ -1131,7 +1148,7 @@ class TestInvarianceProperties:
         n=st.integers(8, 200),
         weighted=st.booleans(),
         p=st.sampled_from([1.0, 2.0]),
-        method=st.sampled_from(["zca_cor", "cholesky"]),
+        method=st.sampled_from(SCALE_STABLE_METHODS),
     )
 
     @staticmethod
@@ -1251,7 +1268,7 @@ class TestDecomposed:
         assert result.weights.tolist() == [1.0, 0.0]
         assert result.component_ginis is None
 
-    @pytest.mark.parametrize("method", ["zca_cor", "cholesky"])
+    @pytest.mark.parametrize("method", SCALE_STABLE_METHODS)
     def test_component_ginis_are_gini_1d_of_whitened_columns(self, method):
         rng = np.random.default_rng(48)
         sample = random_nonneg_sample(rng, 4, 150, weighted=True)

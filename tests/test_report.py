@@ -541,6 +541,9 @@ class TestBuildReport:
             build_report(spike_panels(), p=None)
         with pytest.raises(DataError, match="p must be a number, got 1000"):
             build_report(spike_panels(), p=10**400)
+        # a bool is no order, though float(True) is 1.0
+        with pytest.raises(DataError, match="p must be a number, got True"):
+            build_report(spike_panels(), p=True)
 
     def test_rows_at_p2_use_every_cpu_of_the_mask(self, monkeypatch):
         rng = np.random.default_rng(67)
