@@ -13,9 +13,10 @@ import json
 import re
 import sys
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, _choice_list
 from .gini import DEFAULT_EXACT_CAP, ESTIMATORS, gini_p
 from .report import (
+    REPORT_FORMATS,
     build_report,
     correlation_json,
     correlation_lines,
@@ -244,12 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_whiten.add_argument("--format", choices=("table", "json"), default="table")
     p_whiten.set_defaults(func=cmd_whiten)
 
-    p_report = sub.add_parser("report", help="grouped inequality report (table, csv or json)")
+    p_report = sub.add_parser("report", help=f"grouped inequality report ({_choice_list(REPORT_FORMATS)})")
     _add_csv_flags(p_report)
     p_report.add_argument("--group-column", default="group")
     p_report.add_argument("--min-group-size", type=int, default=2)
     p_report.add_argument("--p", default="1", help="index order (default 1)")
-    p_report.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    p_report.add_argument("--format", choices=REPORT_FORMATS, default="table")
     p_report.add_argument("--out", default=None, help="write to this path instead of stdout")
     p_report.set_defaults(func=cmd_report)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, _check_choice, _check_integers, _choice_list
 from .sample import (
     MomentSummary,
     WeightedSample,
@@ -35,7 +35,7 @@ from .sample import (
     _floats,
     moments,
 )
-from .whitening import SCALE_STABLE_METHODS, WhiteningTransform, _check_method, fit_whitening
+from .whitening import METHODS, SCALE_STABLE_METHODS, WhiteningTransform, fit_whitening
 
 # Size cap (n support points) of the exact double sum used for p != 1; above
 # this, pair sampling is the intended route.  ~2e8 pair evaluations per
@@ -111,13 +111,6 @@ class GiniResult:
             "negativity_warning": self.negativity_warning,
             "worst_negative": self.worst_negative,
         }
-
-
-def _check_integers(**counts) -> None:
-    """A :class:`DataError` for the first of ``counts`` that is a bool or not an integer."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise DataError(f"{name} must be an integer, got {value!r}")
 
 
 def _validate_p(p) -> float:
@@ -253,12 +246,11 @@ def _pnorm_of_differences(operands, p: float, acc: np.ndarray, term: np.ndarray)
     return acc
 
 
-def usable_cpus() -> list[int]:
-    """The CPUs this process may run on: its affinity mask where the platform
-    has one, else ``range(os.cpu_count())``."""
+def usable_cpu_count() -> int:
+    """How many CPUs this process may run on: its affinity mask, else ``os.cpu_count()``."""
     if hasattr(os, "sched_getaffinity"):
-        return sorted(os.sched_getaffinity(0))
-    return list(range(os.cpu_count() or 1))
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _exact_mean_distance(y: np.ndarray, w: np.ndarray, p: float, threads: int) -> float:
@@ -270,7 +262,7 @@ def _exact_mean_distance(y: np.ndarray, w: np.ndarray, p: float, threads: int) -
     blocks.  Chunk boundaries depend only on n, and partial sums are reduced
     in chunk order, so the result is identical for any thread count.  The
     caller and up to ``threads - 1`` helper threads, no more in all than
-    there are chunks or :func:`usable_cpus`, take chunks from one shared
+    there are chunks or :func:`usable_cpu_count`, take chunks from one shared
     iterator.  A thread whose chunk raises empties that iterator, so the
     others stop after their current chunk, and the exception is raised here.
     """
@@ -302,7 +294,7 @@ def _exact_mean_distance(y: np.ndarray, w: np.ndarray, p: float, threads: int) -
             for _ in todo:  # the other threads stop after their current chunk
                 pass
 
-    workers = min(threads, len(chunks), len(usable_cpus()))
+    workers = min(threads, len(chunks), usable_cpu_count())
     helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
     for helper in helpers:
         helper.start()
@@ -397,7 +389,7 @@ def gini_p(
     m*_i is zero.  For p != 1 it evaluates the double sum over support
     pairs, O(n^2 d), which requires n <= exact_cap and is the only step
     ``threads`` parallelizes: on that many threads, the caller included, but
-    no more than :func:`usable_cpus`, all of which the default None means.
+    no more than :func:`usable_cpu_count`, the number the default None means.
     The value depends on neither, and a chunk that raises stops every
     thread after its current chunk.
     estimator="pairs" draws ``pairs`` independent index pairs from the
@@ -409,34 +401,25 @@ def gini_p(
 
     Arguments are checked before any moment or fit, so a bad ``p``,
     ``method`` (unknown, or not scale stable), ``estimator`` (not in
-    ``ESTIMATORS``), or integer ``pairs``, ``seed``, ``threads``
-    or ``exact_cap``, or a sample above ``exact_cap`` for the exact
-    estimator at p != 1, is a :class:`DataError` even on a singular sample.
+    ``ESTIMATORS``), a count that is not an integer or is below its minimum
+    (``threads`` and ``pairs`` 1, ``exact_cap`` and ``seed`` 0), or a
+    sample above ``exact_cap`` for the exact estimator at p != 1, is a
+    :class:`DataError` even on a singular sample.
     Raises :class:`NumericalError` when the whitened mean is zero, or when p
     is so large that |x|^p over- or underflows (the normalizer is zero or
     infinite for a nonzero whitened mean, or the distance sum is not finite).
     """
     p = _validate_p(p)
-    _check_method(method)
+    _check_choice(method, METHODS, "whitening method")
     if method not in SCALE_STABLE_METHODS:
         raise DataError(
             f"{method} whitening is not scale stable; the index takes "
-            f"{' or '.join(map(repr, SCALE_STABLE_METHODS))}"
+            f"{_choice_list(map(repr, SCALE_STABLE_METHODS))}"
         )
-    threads = len(usable_cpus()) if threads is None else threads
-    _check_integers(pairs=pairs, seed=seed, exact_cap=exact_cap, threads=threads)
-    if threads < 1:
-        raise DataError(f"threads must be >= 1, got {threads}")
-    if exact_cap < 0:
-        raise DataError(f"exact cap must be >= 0, got {exact_cap}")
-    if pairs < 1:
-        raise DataError("pair count must be positive")
-    if seed < 0:
-        raise DataError(f"seed must be >= 0, got {seed}")
-    if estimator not in ESTIMATORS:
-        raise DataError(
-            f"unknown estimator {estimator!r}; choose {' or '.join(map(repr, ESTIMATORS))}"
-        )
+    threads = usable_cpu_count() if threads is None else threads
+    _check_integers(threads=(threads, 1), exact_cap=(exact_cap, 0), pairs=(pairs, 1),
+                    seed=(seed, 0))
+    _check_choice(estimator, ESTIMATORS, "estimator")
     if estimator == "exact" and p != 1.0 and sample.n > exact_cap:
         raise DataError(
             f"exact estimator capped at n={exact_cap} (sample has {sample.n}); "
@@ -515,11 +498,9 @@ def gini_1_decomposed(sample: WeightedSample, *, method: str = "zca_cor") -> Gin
 
     Returns ``gini_p(sample, 1, method=method)``, whose ``value`` equals
     ``weights @ component_ginis``: the indices of the whitened components
-    combined with weights |m*_i| / sum_j |m*_j|.  ``method`` is ``zca_cor``
-    (the default) or ``cholesky``, as for ``gini_p``; ``zca`` and ``pca``
-    remain for :func:`fit_whitening`, ``whiten`` and
-    :func:`scale_stability_check`.  Unlike ``gini_p``, rejects a zero
-    whitened component mean, whose one-dimensional index is undefined.
+    combined with weights |m*_i| / sum_j |m*_j|.  ``method`` is one of
+    ``SCALE_STABLE_METHODS``, as for ``gini_p``.  Unlike ``gini_p``, rejects
+    a zero whitened component mean, whose one-dimensional index is undefined.
     """
     result = gini_p(sample, 1.0, method=method)
     if result.component_ginis is None:

@@ -19,11 +19,12 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DataError, NumericalError
-from .gini import GiniResult, _check_integers, _validate_p, gini_1_decomposed, gini_1d, gini_p
+from .errors import DataError, NumericalError, _check_choice, _check_integers, _check_names
+from .gini import GiniResult, _validate_p, gini_1_decomposed, gini_1d, gini_p
 from .sample import MomentSummary, WeightedSample, moments
 
 POOLED_LABEL = "All"
+REPORT_FORMATS = ("table", "csv", "json")  # the formats of serialize_report
 
 # _read_csv converts metric cells to floats in batches of this many cells
 _CELL_BATCH = 1 << 15
@@ -83,12 +84,7 @@ def _read_csv(path, metric_columns, positive, group_column=None, name_column=Non
     of ``_CELL_BATCH`` cells into a typed buffer of 8 bytes per value.
     Returns ``(matrix, labels, dropped)``; labels is None without a group column.
     """
-    metric_columns = list(metric_columns)
-    if not metric_columns:
-        raise DataError("no metric columns given")
-    for j, column in enumerate(metric_columns):
-        if column in metric_columns[:j]:
-            raise DataError(f"metric column {column!r} listed twice")
+    metric_columns = _check_names(metric_columns, "metric column")
     try:
         handle = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -157,6 +153,7 @@ def load_csv(path, metric_columns, group_column="group", name_column=None):
     Rows with a non-positive metric are dropped too: the inequality indices
     require positive data, and non-positive sizes are data errors in this domain.
     A ``name_column``, when given, must be present but is not read.
+    ``metric_columns`` is a list of distinct names; a string is refused.
     """
     matrix, labels, dropped = _read_csv(
         path, metric_columns, positive=True, group_column=group_column, name_column=name_column
@@ -170,6 +167,7 @@ def load_metric_columns(path, metric_columns):
     Unlike :func:`load_csv`, zeros and negative values are kept: the indices
     are defined for any finite data with nonzero means, and exact fixtures
     legitimately place mass at zero.  No group or name column is required.
+    ``metric_columns`` is a list of distinct names; a string is refused.
     """
     matrix, _, dropped = _read_csv(path, metric_columns, positive=False)
     return matrix, dropped
@@ -182,9 +180,7 @@ def panelize(table: PanelTable, min_group_size: int = 2) -> PanelSet:
     table order.  Groups smaller than ``min_group_size`` are excluded from
     the per-group map but still contribute to the pooled sample.
     """
-    _check_integers(min_group_size=min_group_size)
-    if min_group_size < 2:
-        raise DataError(f"min_group_size must be >= 2, got {min_group_size}")
+    _check_integers(min_group_size=(min_group_size, 2))
     if table.groups is None:
         raise DataError("the table has no group labels; load it with a group column")
     if len(table.groups) != len(table):
@@ -233,7 +229,8 @@ def build_report(panels: PanelSet, p: float = 1.0, metric_names=None) -> Inequal
     exact double sum runs on :func:`gini_p`'s default threads, every CPU this
     process may run on, which never changes a value.  The pooled moments
     come from the pooled row's fit, and are computed here only when that
-    row has no index.
+    row has no index.  ``metric_names`` are d distinct names (by default
+    metric0, metric1, ...); a string is refused.
     """
     p = _validate_p(p)
     if panels.pooled is None:
@@ -241,12 +238,7 @@ def build_report(panels: PanelSet, p: float = 1.0, metric_names=None) -> Inequal
     dim = panels.pooled.dim
     if metric_names is None:
         metric_names = [f"metric{j}" for j in range(dim)]
-    metric_names = tuple(str(name) for name in metric_names)
-    if len(metric_names) != dim:
-        raise DataError(f"expected {dim} metric names, got {len(metric_names)}")
-    for j, name in enumerate(metric_names):
-        if name in metric_names[:j]:
-            raise DataError(f"metric name {name!r} listed twice")
+    metric_names = _check_names(metric_names, "metric name", dim)
     rows = [_row_for_sample(name, sample, p) for name, sample in sorted(panels.groups.items())]
     rows.append(_row_for_sample(POOLED_LABEL, panels.pooled, p))
     pooled = rows[-1].result
@@ -386,15 +378,14 @@ def _format_csv(report: InequalityReport) -> str:
 
 
 def serialize_report(report: InequalityReport, format: str = "table") -> str:
-    """Render a report as a fixed-width table, CSV rows, or JSON.
+    """Render a report in one of ``REPORT_FORMATS``: a fixed-width table, CSV rows, or JSON.
 
     Table mode prints 3 decimals; csv and json carry full precision and are
     byte-deterministic for identical inputs.
     """
+    _check_choice(format, REPORT_FORMATS, "report format")
     if format == "table":
         return _format_table(report)
     if format == "csv":
         return _format_csv(report)
-    if format == "json":
-        return json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
-    raise DataError(f"unknown report format {format!r}; choose table, csv or json")
+    return json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, _check_integers, _check_names
 from .sample import WeightedSample, _equal_weights, cholesky_lower
 from .whitening import WhiteningTransform
 
@@ -48,11 +48,10 @@ def gen_gaussian(mean, cov, n: int, seed: int) -> WeightedSample:
     """
     mean = np.asarray(mean, dtype=float).reshape(-1)
     cov = np.asarray(cov, dtype=float)
-    if n < 2:
-        raise DataError(f"need at least 2 draws, got {n}")
+    _check_integers(n=(n, 2))
     c = cholesky_lower(cov)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((int(n), mean.shape[0]))
+    z = rng.standard_normal((n, mean.shape[0]))
     return WeightedSample(mean + z @ c.T)
 
 
@@ -276,10 +275,10 @@ def write_sample_csv(
 
     With ``rows`` set, the weighted support is expanded to that many uniform
     rows via :func:`expand_to_rows`; otherwise weights must already be
-    uniform.  Returns the number of data rows written.
+    uniform.  ``metric_names`` are d distinct names; a string is refused.
+    Returns the number of data rows written.
     """
-    if len(metric_names) != sample.dim:
-        raise DataError(f"expected {sample.dim} metric names, got {len(metric_names)}")
+    metric_names = _check_names(metric_names, "metric name", sample.dim)
     if rows is None:
         if not _equal_weights(sample.weights):
             raise DataError("weights are not uniform; pass rows= to expand the support")

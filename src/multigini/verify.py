@@ -20,9 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _check_integers, _check_names
 from .gini import (
-    _check_integers,
     _exact_mean_distance,
     _whitened,
     _whitened_mean_norm,
@@ -30,7 +29,7 @@ from .gini import (
     gini_1d,
     gini_1_decomposed,
     gini_p,
-    usable_cpus,
+    usable_cpu_count,
 )
 from .sample import MomentSummary, WeightedSample, cholesky_lower, moments, sym_eigen
 from .synth import (
@@ -279,7 +278,7 @@ def _run_cli(args: list[str]) -> subprocess.CompletedProcess:
 def check_cli_end_to_end(seed: int, tamper: bool) -> tuple[bool, str]:
     """Exported spike fixture through the CLI gives 0.8; thread count changes nothing."""
     sample = gen_spike_cube(0.2, 3)
-    threads = str(max(len(usable_cpus()), 2))
+    threads = str(max(usable_cpu_count(), 2))
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         # 1000 rows span several chunks of the p=2 double sum, so threads share it
@@ -320,24 +319,17 @@ CHECKS = (
 def run_checks(
     seed: int = DEFAULT_SEED, tamper: bool = False, names: list[str] | None = None
 ) -> list[CheckResult]:
-    """Run the named checks (all by default); deterministic for a fixed seed."""
-    _check_integers(seed=seed)
-    if seed < 0:
-        raise DataError(f"seed must be >= 0, got {seed}")
-    if isinstance(names, str):
-        raise DataError(f"check names must be a list, got the string {names!r}")
-    if names is not None:
-        if not names:
-            raise DataError("no check names given")
-        known = {name for name, _ in CHECKS}
-        unknown = [n for n in names if n not in known]
-        if unknown:
-            raise DataError(f"unknown check(s): {', '.join(unknown)}")
+    """Run the named checks (all by default, a string refused); deterministic for a fixed seed."""
+    _check_integers(seed=(seed, 0))
+    known = [name for name, _ in CHECKS]
+    names = known if names is None else _check_names(names, "check name")
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise DataError(f"unknown check(s): {', '.join(unknown)}")
     results = []
     for name, func in CHECKS:
-        if names is not None and name not in names:
-            continue
-        start = time.perf_counter()
-        passed, detail = func(seed, tamper)
-        results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
+        if name in names:
+            start = time.perf_counter()
+            passed, detail = func(seed, tamper)
+            results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
     return results

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, _check_choice
 from .sample import (
     DEGENERACY_RTOL,
     MomentSummary,
@@ -102,18 +102,13 @@ def _make_transform(method: str, matrix: np.ndarray, m: MomentSummary) -> Whiten
                               whiteness_residual=residual)
 
 
-def _check_method(method: str) -> None:
-    if method not in METHODS:
-        raise DataError(f"unknown whitening method {method!r}; choose from {METHODS}")
-
-
 def fit_whitening(method: str, m: MomentSummary) -> WhiteningTransform:
     """Fit one of the four whitening transforms, named in ``METHODS``, to ``m``.
 
     Every method first rejects a singular correlation; the formula of each
     W is in the module docstring.
     """
-    _check_method(method)
+    _check_choice(method, METHODS, "whitening method")
     kind = {"cholesky": "triangular", "zca_cor": "correlation"}.get(method, "covariance")
     corr_eig = _nonsingular_correlation(m, kind)
     if method == "cholesky":

@@ -167,12 +167,12 @@ class TestExitCodes:
         path.write_text("name,group,a,b\nw,g,1,3\nx,g,2,5\ny,g,4,4\nz,g,3,9\n", encoding="utf-8")
         proc = run_cli("gini", "--input", str(path), "--columns", "a,b", "--exact-cap", "-3", "--p", "2")
         assert proc.returncode == 2
-        assert proc.stderr == "multigini: data error: exact cap must be >= 0, got -3\n"
+        assert proc.stderr == "multigini: data error: exact_cap must be >= 0, got -3\n"
         assert proc.stdout == ""
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--pairs", "0", "pair count must be positive"), ("--seed", "-3", "seed must be >= 0, got -3")],
+        [("--pairs", "0", "pairs must be >= 1, got 0"), ("--seed", "-3", "seed must be >= 0, got -3")],
     )
     def test_pair_arguments_checked_before_the_fit(self, tmp_path, flag, value, message):
         # the sample is singular too, but a bad argument is reported first
@@ -186,7 +186,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--pairs", "0", "pair count must be positive"), ("--seed", "-1", "seed must be >= 0, got -1")],
+        [("--pairs", "0", "pairs must be >= 1, got 0"), ("--seed", "-1", "seed must be >= 0, got -1")],
     )
     def test_pair_arguments_checked_for_the_exact_estimator(self, tmp_path, flag, value, message):
         path = tmp_path / "t.csv"
@@ -482,6 +482,15 @@ class TestBomInput:
 
 
 class TestReportCommand:
+    def test_format_choices_are_the_library_ones(self, grouped_csv):
+        from multigini.report import REPORT_FORMATS
+
+        usage = run_cli("report", "--input", grouped_csv, "--columns", "cap,emp,rev",
+                        "--format", "xml")
+        assert usage.returncode == 1
+        assert f"(choose from {', '.join(map(repr, REPORT_FORMATS))})" in usage.stderr
+        assert "grouped inequality report (table, csv or json)" in run_cli("--help").stdout
+
     def test_table_shape(self, grouped_csv):
         proc = run_cli(
             "report", "--input", grouped_csv, "--columns", "cap,emp,rev",
@@ -567,6 +576,14 @@ class TestVerifyCommand:
     def test_unknown_check_name(self):
         proc = run_cli("verify", "--checks", "nonsense")
         assert proc.returncode == 2
+
+    def test_check_named_twice_is_data_error(self):
+        proc = run_cli("verify", "--checks", "reference-eigenvalues,reference-eigenvalues")
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "multigini: data error: check name 'reference-eigenvalues' listed twice\n"
+        )
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("checks", [",", " ", ""])
     def test_empty_check_list_is_data_error(self, checks):

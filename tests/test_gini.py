@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -892,14 +893,14 @@ class TestGiniP:
     @pytest.mark.parametrize(
         "arguments, message",
         [
-            ({"estimator": "pairs", "pairs": 0}, "pair count must be positive"),
+            ({"estimator": "pairs", "pairs": 0}, "pairs must be >= 1, got 0"),
             ({"estimator": "pairs", "seed": -3}, "seed must be >= 0, got -3"),
             ({"estimator": "bootstrap"}, "unknown estimator 'bootstrap'"),
-            ({"exact_cap": -3}, "exact cap must be >= 0, got -3"),
-            ({"estimator": "pairs", "exact_cap": -1}, "exact cap must be >= 0, got -1"),
+            ({"exact_cap": -3}, "exact_cap must be >= 0, got -3"),
+            ({"estimator": "pairs", "exact_cap": -1}, "exact_cap must be >= 0, got -1"),
             ({"method": "bogus"}, "unknown whitening method 'bogus'"),
             # the pair count and seed ranges hold for the exact estimator too
-            ({"pairs": 0}, "pair count must be positive"),
+            ({"pairs": 0}, "pairs must be >= 1, got 0"),
             ({"seed": -1}, "seed must be >= 0, got -1"),
             ({"method": "pca"}, "pca whitening is not scale stable"),
         ],
@@ -1185,6 +1186,38 @@ class TestInvarianceProperties:
         q = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), d))
         self.assert_same_index(sample, sample.scaled(q), p, method)
 
+    @staticmethod
+    def under_each_whitening(points, weights, p):
+        """G_p under zca_cor, then under cholesky in every column order."""
+        values = [gini_p(WeightedSample(points, weights), p).value]
+        for order in itertools.permutations(range(points.shape[1])):
+            sample = WeightedSample(points[:, order], weights)
+            values.append(gini_p(sample, p, method="cholesky").value)
+        return np.array(values)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=cases["seed"], d=cases["d"], n=cases["n"], weighted=cases["weighted"])
+    def test_g2_does_not_depend_on_the_whitening(self, seed, d, n, weighted):
+        # ||W (x - y)||_2 and ||W m||_2 are the same for every W with W^T W = S^{-1}
+        rng = np.random.default_rng(seed)
+        sample = random_nonneg_sample(rng, d, n, weighted)
+        mixed = sample.points @ (np.eye(d) + rng.uniform(0.0, 1.0, (d, d)))  # correlated
+        values = self.under_each_whitening(mixed, sample.weights, 2.0)
+        np.testing.assert_allclose(values, values[0], rtol=1e-12, atol=0.0)
+
+    def test_g1_depends_on_the_whitening(self):
+        # the counterpart of the G_2 property: on one correlated sample the
+        # whitenings move G_1 by about a quarter
+        rng = np.random.default_rng(0)
+        points = rng.lognormal(0.0, 0.7, (300, 2)) @ np.array([[1.0, 0.8], [0.0, 1.0]])
+        g1 = self.under_each_whitening(points, None, 1.0)
+        assert g1.max() - g1.min() > 1e-3 * g1.min()
+        # zca_cor only permutes its whitened coordinates with the columns
+        swapped = gini_p(WeightedSample(points[:, ::-1]), 1.0).value
+        assert swapped == pytest.approx(g1[0], rel=1e-12, abs=0.0)
+        g2 = self.under_each_whitening(points, None, 2.0)
+        np.testing.assert_allclose(g2, g2[0], rtol=1e-12, atol=0.0)
+
     @settings(max_examples=15, deadline=None)
     @given(**{**cases, "n": st.integers(513, 1200), "p": st.sampled_from([1.5, 2.0, math.inf])})
     def test_thread_count(self, seed, d, n, weighted, p, method):
@@ -1240,7 +1273,7 @@ class TestPairEstimator:
         assert estimate.seed == 5
 
     def test_positive_pair_count_required(self):
-        with pytest.raises(DataError, match="pair count"):
+        with pytest.raises(DataError, match=re.escape("pairs must be >= 1, got 0")):
             gini_p(gen_spike_cube(0.3, 1), 1.0, estimator="pairs", pairs=0)
 
 
