@@ -494,22 +494,14 @@ def _large_p_error(p: float) -> NumericalError:
 
 
 def gini_1_decomposed(sample: WeightedSample, *, method: str = "zca_cor") -> GiniResult:
-    """Exact G_1 with its decomposition into one-dimensional indices.
+    """Exact G_1 with its decomposition: the result of ``gini_p(sample, 1.0, method=method)``.
 
-    Returns ``gini_p(sample, 1, method=method)``, whose ``value`` equals
-    ``weights @ component_ginis``: the indices of the whitened components
-    combined with weights |m*_i| / sum_j |m*_j|.  ``method`` is one of
-    ``SCALE_STABLE_METHODS``, as for ``gini_p``.  Unlike ``gini_p``, rejects
-    a zero whitened component mean, whose one-dimensional index is undefined.
+    Its ``weights`` are |m*_i| / sum_j |m*_j|, and its ``value`` equals
+    ``weights @ component_ginis``, the indices of the whitened components,
+    unless some m*_i is zero: that component's index is undefined, so
+    ``component_ginis`` is None, while the value still is defined.
     """
-    result = gini_p(sample, 1.0, method=method)
-    if result.component_ginis is None:
-        zero_mean = np.flatnonzero(result.weights == 0.0)
-        raise NumericalError(
-            f"whitened component(s) {zero_mean.tolist()} have zero mean; "
-            "their one-dimensional index is undefined"
-        )
-    return result
+    return gini_p(sample, 1.0, method=method)
 
 
 def gaussian_g1_closed_form(mean, cov) -> float:

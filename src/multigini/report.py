@@ -214,6 +214,7 @@ def _row_for_sample(label: str, sample: WeightedSample, p: float) -> GroupRow:
         notes.append(str(exc))
     # above the exact cap (p != 1) a DataError is raised, which is one row's note too
     try:
+        # gini_1_decomposed is gini_p at p = 1; perfbench's replay rebinds and times it (ROADMAP 4b)
         result = gini_1_decomposed(sample) if p == 1.0 else gini_p(sample, p)
     except (NumericalError, DataError) as exc:
         notes.append(str(exc))

@@ -48,7 +48,7 @@ def gen_gaussian(mean, cov, n: int, seed: int) -> WeightedSample:
     """
     mean = np.asarray(mean, dtype=float).reshape(-1)
     cov = np.asarray(cov, dtype=float)
-    _check_integers(n=(n, 2))
+    _check_integers(n=(n, 2), seed=(seed, 0))
     c = cholesky_lower(cov)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, mean.shape[0]))
@@ -57,7 +57,8 @@ def gen_gaussian(mean, cov, n: int, seed: int) -> WeightedSample:
 
 def _two_point_product(lo: float, hi: float, p_hi: float, dim: int) -> WeightedSample:
     """Exact product measure of iid two-point marginals {lo, hi} w.p. (1-p_hi, p_hi)."""
-    if not 1 <= dim <= MAX_PRODUCT_DIM:
+    _check_integers(dim=(dim, 1))
+    if dim > MAX_PRODUCT_DIM:
         raise DataError(f"dimension must be in [1, {MAX_PRODUCT_DIM}], got {dim}")
     masks = (np.arange(2**dim)[:, None] >> np.arange(dim)) & 1
     points = np.where(masks == 1, hi, lo).astype(float)
@@ -254,6 +255,7 @@ def expand_to_rows(sample: WeightedSample, rows: int) -> np.ndarray:
     replicated uniform sample then represents the same measure, which is
     what makes CSV round trips of exact product fixtures lossless.
     """
+    _check_integers(rows=(rows, 1))
     counts = sample.weights * rows
     rounded = np.rint(counts)
     if np.abs(counts - rounded).max() > 1e-9 or int(rounded.sum()) != rows:
@@ -284,7 +286,7 @@ def write_sample_csv(
             raise DataError("weights are not uniform; pass rows= to expand the support")
         points = sample.points
     else:
-        points = expand_to_rows(sample, int(rows))
+        points = expand_to_rows(sample, rows)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["name", "group", *metric_names])

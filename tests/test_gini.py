@@ -1290,16 +1290,18 @@ class TestDecomposed:
         )
         assert abs(result.weights.sum() - 1.0) <= 1e-12
 
-    def test_zero_mean_component_rejected(self):
+    @pytest.mark.parametrize("method", SCALE_STABLE_METHODS)
+    def test_zero_mean_component_is_gini_p(self, method):
         sample = WeightedSample([[0.0, -1.0], [0.0, 1.0], [2.0, -1.0], [2.0, 1.0]])
-        with pytest.raises(NumericalError, match=r"component\(s\) \[1\] have zero mean"):
-            gini_1_decomposed(sample)
-        # gini_p still has a value: whitened, the components are fair coins on
-        # {0, 2} and {-1, 1}, each with mean absolute difference 1
-        result = gini_p(sample, 1.0)
-        assert result.value == pytest.approx((1.0 + 1.0) / (2.0 * (1.0 + 0.0)), abs=1e-15)
-        assert result.weights.tolist() == [1.0, 0.0]
-        assert result.component_ginis is None
+        decomposed = gini_1_decomposed(sample, method=method)
+        result = gini_p(sample, 1.0, method=method)
+        # whitened, the components are fair coins on {0, 2} and {-1, 1}, each
+        # with mean absolute difference 1; the second one's index is undefined
+        assert decomposed.value == pytest.approx((1.0 + 1.0) / (2.0 * (1.0 + 0.0)), abs=1e-15)
+        assert decomposed.value.hex() == result.value.hex()
+        assert decomposed.weights.tolist() == result.weights.tolist() == [1.0, 0.0]
+        assert decomposed.component_ginis is None and result.component_ginis is None
+        assert decomposed.to_dict() == result.to_dict()
 
     @pytest.mark.parametrize("method", SCALE_STABLE_METHODS)
     def test_component_ginis_are_gini_1d_of_whitened_columns(self, method):

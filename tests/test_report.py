@@ -675,9 +675,10 @@ def format_panels():
     "Korea, Republic of" is a plain row whose label needs CSV quoting;
     "flat" has a constant column, so no g1 and no weights, with a note;
     "signed" has negative entries, so the negativity flag; "zero mean" has a
-    zero-mean column, so no metric Ginis (and at p = 1 no g1).  Within each
-    group, and pooled, the columns are uncorrelated and the values dyadic,
-    so the moments are exact and the whitening matrices diagonal.
+    zero-mean column, so no metric Ginis, but a g1 at every p (at p = 1 with
+    a zero weight).  Within each group, and pooled, the columns are
+    uncorrelated and the values dyadic, so the moments are exact and the
+    whitening matrices diagonal.
     """
     groups = {
         "Korea, Republic of": [(1.0, 2.0), (3.0, 2.0), (1.0, 4.0), (3.0, 4.0)],
@@ -707,7 +708,7 @@ group                    n    gini_cap  gini_employees_worldwide        g1     w
 Korea, Republic of       4       0.250                     0.167     0.200     0.400                  0.600
 flat                     4       0.250                     0.000         -         -                      -  zero variance in component(s) [1]; correlation whitening is undefined
 signed                   4       1.000                     0.333     0.500     0.250                  0.750  negativity
-zero mean                4           -                         -         -         -                      -  undefined inequality for zero-mean component; whitened component(s) [0] have zero mean; their one-dimensional index is undefined
+zero mean                4           -                         -     0.333     0.000                  1.000  undefined inequality for zero-mean component
 All                     16       0.797                     0.297     0.432     0.270                  0.730  negativity
 """
 
@@ -717,7 +718,7 @@ group,n,gini_cap,gini_employees_worldwide,g1,weight_cap,weight_employees_worldwi
 "Korea, Republic of",4,0.25,0.16666666666666666,0.2,0.4,0.6,false,
 flat,4,0.25,0.0,,,,false,zero variance in component(s) [1]; correlation whitening is undefined
 signed,4,1.0,0.3333333333333333,0.5,0.25,0.75,true,
-zero mean,4,,,,,,false,undefined inequality for zero-mean component; whitened component(s) [0] have zero mean; their one-dimensional index is undefined
+zero mean,4,,,0.3333333333333333,0.0,1.0,true,undefined inequality for zero-mean component
 All,16,0.796875,0.296875,0.43171811591147263,0.26968623182294527,0.7303137681770547,true,
 """
 
@@ -796,10 +797,13 @@ _EXPECTED_P1_JSON = """\
       "group": "zero mean",
       "n": 4,
       "gini": null,
-      "g1": null,
-      "weights": null,
-      "negativity_warning": false,
-      "error": "undefined inequality for zero-mean component; whitened component(s) [0] have zero mean; their one-dimensional index is undefined"
+      "g1": 0.3333333333333333,
+      "weights": {
+        "cap": 0.0,
+        "employees_worldwide": 1.0
+      },
+      "negativity_warning": true,
+      "error": "undefined inequality for zero-mean component"
     },
     {
       "group": "All",
@@ -966,3 +970,11 @@ class TestSerializedBytes:
     def test_serialized_report(self, p, fmt, expected):
         report = build_report(format_panels(), p, metric_names=["cap", "employees_worldwide"])
         assert serialize_report(report, fmt) == expected
+
+
+def test_index_defined_at_one_p_is_defined_at_every_p():
+    # one G_1 rule: a zero-mean whitened component leaves g1 defined at p = 1 as at p = 2
+    def indexed(p):
+        return [row.group for row in build_report(format_panels(), p).rows if row.result is not None]
+
+    assert indexed(1.0) == indexed(2.0) == ["Korea, Republic of", "signed", "zero mean", "All"]

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -56,6 +57,15 @@ class TestGenGaussian:
         with pytest.raises(DataError):
             gen_gaussian([0.0], [[1.0]], 1, seed=0)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5"),
+         (True, "seed must be an integer, got True")],
+    )
+    def test_seed_is_a_non_negative_integer(self, seed, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            gen_gaussian([1.0], [[1.0]], 10, seed=seed)
+
 
 class TestCoinflipCube:
     def test_support_one_dim(self):
@@ -82,6 +92,17 @@ class TestCoinflipCube:
     def test_dimension_cap(self):
         with pytest.raises(DataError, match=r"\[1, 12\]"):
             gen_coinflip_cube(0.0, 13)
+
+    @pytest.mark.parametrize(
+        "dim, message",
+        [(0, "dim must be >= 1, got 0"), (2.5, "dim must be an integer, got 2.5"),
+         (True, "dim must be an integer, got True")],
+    )
+    def test_dimension_is_a_positive_integer(self, dim, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            gen_coinflip_cube(0.0, dim)
+        with pytest.raises(DataError, match=re.escape(message)):
+            gen_spike_cube(0.2, dim)
 
 
 class TestSpikeCube:
@@ -231,6 +252,20 @@ class TestCsvExport:
         np.testing.assert_allclose(
             moments(expanded).covariance, moments(sample).covariance, atol=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [(125.9, "rows must be an integer, got 125.9"), (125.0, "rows must be an integer, got 125.0"),
+         (-125, "rows must be >= 1, got -125"), (0, "rows must be >= 1, got 0"),
+         (True, "rows must be an integer, got True")],
+    )
+    def test_row_count_is_a_positive_integer(self, tmp_path, rows, message):
+        sample = gen_spike_cube(0.2, 3)
+        with pytest.raises(DataError, match=re.escape(message)):
+            expand_to_rows(sample, rows)
+        with pytest.raises(DataError, match=re.escape(message)):
+            write_sample_csv(sample, tmp_path / "x.csv", ["a", "b", "c"], rows=rows)
+        assert not (tmp_path / "x.csv").exists()
 
     def test_expand_rejects_non_representable(self):
         sample = gen_spike_cube(0.2, 3)
